@@ -8,8 +8,8 @@ suite of exact/empirical validation probes.
 """
 
 from .errors import (BudgetExceededError, DegeneracyError, DimensionError,
-                     InconsistencyError, ParameterError, RankDeficiencyError,
-                     RoundingError, SsbmfError)
+                     ExtensionError, InconsistencyError, ParameterError,
+                     RankDeficiencyError, RoundingError, SsbmfError)
 from .instance import (GramMatrix, SelectionMatrix, factorization_error,
                        gen_selection_matrix, gram, split_seed)
 from .jennrich import (RecoverConfig, RecoveredFactors, extend_from_anchors,

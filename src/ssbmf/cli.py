@@ -98,8 +98,6 @@ def _cmd_recover(args) -> int:
 def _cmd_csp(args) -> int:
     M = GramMatrix.from_json(load_json(args.gram))
     if args.mode == "int":
-        W = None
-        counts = None
         if M.counts is None:
             raise ParameterError(
                 "integer mode needs integer entries; regenerate with gram --arithmetic integer")

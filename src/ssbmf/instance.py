@@ -9,8 +9,10 @@ hypergraph's line graph plus self-loops.
 Bit conventions used throughout the package:
   - a row support is also stored as an r-bit mask, bit j set <=> column j in
     the support;
-  - a Gram row is an m-bit integer, bit j set <=> entry (a, j) = 1.
-All intersection kernels reduce to AND + popcount on these integers.
+  - a Gram matrix is an (m, ceil(m/64)) array of little-endian uint64 words,
+    entry (a, j) = bit j % 64 of word j // 64 of row a, zero at j >= m.
+With zero padding, the columns that are zero in a set of Gram rows number
+m - popcount(OR of the rows); all mu-kernels use this.
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 _SEED_MASK = (1 << 64) - 1
+_WORD = np.dtype("<u8")
+_CHUNK_WORDS = 1 << 16  # words per temporary in the chunked row kernels
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def n_words(m: int) -> int:
+    """Words per packed Gram row."""
+    return (m + 63) // 64
+
+
+def _row_chunks(n: int, words_per_row: int):
+    step = max(1, _CHUNK_WORDS // max(1, words_per_row))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -68,15 +84,6 @@ class SelectionMatrix:
             out[a, list(row)] = 1
         return out
 
-    def column_masks(self) -> list:
-        """m-bit mask per column: bit a set <=> column j belongs to row a."""
-        dense = self.dense().astype(bool)
-        out = []
-        for j in range(self.r):
-            packed = np.packbits(dense[:, j], bitorder="little").tobytes()
-            out.append(int.from_bytes(packed, "little"))
-        return out
-
     def to_json(self, seed=None) -> dict:
         obj = {"m": self.m, "r": self.r, "k": self.k,
                "rows": [list(row) for row in self.rows]}
@@ -100,38 +107,62 @@ class SelectionMatrix:
 class GramMatrix:
     """m x m Gram matrix of a selection matrix.
 
-    ``bits`` stores the Boolean-semiring entries (supports intersect), one
-    m-bit integer per row.  ``counts``, when present, stores the integer
-    entries |S_a cap S_b|.
+    ``bits`` stores the Boolean-semiring entries (supports intersect) as an
+    (m, n_words(m)) array of packed words, laid out as in the module
+    docstring.  ``counts``, when present, stores the integer entries
+    |S_a cap S_b|.
     """
 
     m: int
-    bits: tuple  # m ints
+    bits: np.ndarray  # (m, n_words(m)) little-endian uint64, zero at bits >= m
     counts: np.ndarray = None  # optional (m, m) small ints
 
     def __post_init__(self):
-        if len(self.bits) != self.m:
-            raise DimensionError(f"expected {self.m} bit rows, got {len(self.bits)}")
+        if np.shape(self.bits) != (self.m, n_words(self.m)):
+            raise DimensionError(f"expected {self.m} rows of {n_words(self.m)} words")
 
     def entry(self, a: int, b: int) -> int:
-        return (self.bits[a] >> b) & 1
+        return int(self.bits[a, b >> 6] >> (b & 63)) & 1
 
     def dense(self) -> np.ndarray:
         """Boolean entries as a 0/1 array of shape (m, m)."""
-        nbytes = (self.m + 7) // 8
-        raw = b"".join(row.to_bytes(nbytes, "little") for row in self.bits)
-        flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return flat.reshape(self.m, nbytes * 8)[:, : self.m].astype(np.int8)
+        flat = np.unpackbits(self.bits.view(np.uint8), axis=1, bitorder="little")
+        return flat[:, : self.m].astype(np.int8)
 
     def to_json(self) -> dict:
+        # Big-endian hex per row: reverse the little-endian bytes, then drop
+        # the leading nibbles, which hold only zero padding.
         nibbles = (self.m + 3) // 4
         return {"m": self.m,
-                "hex_rows": [format(row, f"0{nibbles}x") for row in self.bits]}
+                "hex_rows": [row[::-1].tobytes().hex()[-nibbles:]
+                             for row in self.bits.view(np.uint8)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramMatrix":
-        bits = tuple(int(s, 16) for s in obj["hex_rows"])
-        return cls(m=int(obj["m"]), bits=bits)
+        """Decode and check the row count, ceil(m/4) hex digits per row, no bit
+        at a position >= m, the unit diagonal and symmetry (ParameterError)."""
+        m = int(obj["m"])
+        rows = obj["hex_rows"]
+        if m < 1 or not isinstance(rows, list) or len(rows) != m:
+            raise ParameterError(f"expected a list of m={m} >= 1 hex rows")
+        nibbles, width = (m + 3) // 4, 16 * n_words(m)
+        bits = np.zeros((m, n_words(m)), dtype=_WORD)
+        raw = bits.view(np.uint8)
+        for a, row in enumerate(rows):
+            if not isinstance(row, str) or len(row) != nibbles or not set(row) <= _HEX_DIGITS:
+                raise ParameterError(f"hex row {a} is not {nibbles} hex digits")
+            raw[a] = np.frombuffer(bytes.fromhex(row.rjust(width, "0"))[::-1], np.uint8)
+        if m % 64 and np.any(bits[:, -1] >> (m % 64)):
+            raise ParameterError(f"a hex row sets a bit at a position >= m={m}")
+        for w in range(n_words(m)):
+            # Rows 64w.. against columns 64w..: equal, with ones on the diagonal.
+            block = np.unpackbits(raw[64 * w: 64 * w + 64], axis=1, bitorder="little")[:, :m]
+            column = np.unpackbits(raw[:, 8 * w: 8 * w + 8], axis=1, bitorder="little")
+            if not np.array_equal(block, column[:, : len(block)].T):
+                raise ParameterError(f"not symmetric in rows {64 * w}..{64 * w + 63}")
+            if not np.diagonal(block, offset=64 * w).all():
+                raise ParameterError(f"a diagonal entry in rows {64 * w}.. is 0")
+        return cls(m=m, bits=bits)
 
     def to_csv(self, path, arithmetic: str = "boolean") -> None:
         data = self.dense() if arithmetic == "boolean" else self.counts
@@ -164,26 +195,33 @@ def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
     return SelectionMatrix(m=m, r=r, k=k, rows=rows)
 
 
-def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:
-    """Gram matrix of W: Boolean (supports intersect) or integer (|S_a cap S_b|).
+def _gram_rows(W: SelectionMatrix):
+    """Packed Boolean Gram rows of W in chunks: yields (lo, hi, rows lo..hi-1).
 
-    Boolean rows are assembled by OR-ing the column masks of the row's
-    support, which keeps the cost at m*k word-wide operations.
+    Row a is the OR of the packed column masks of a's support, so the cost
+    is m*k word-row operations.
     """
+    m = W.m
+    cols = np.zeros((W.r, n_words(m)), dtype=_WORD)
+    cols.view(np.uint8)[:, : (m + 7) // 8] = np.packbits(
+        W.dense().T.astype(bool), axis=1, bitorder="little")
+    support = np.array(W.rows, dtype=np.intp)
+    for lo, hi in _row_chunks(m, W.k * n_words(m)):
+        yield lo, hi, np.bitwise_or.reduce(cols[support[lo:hi]], axis=1)
+
+
+def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:
+    """Gram matrix of W: Boolean (supports intersect) or integer (|S_a cap S_b|)."""
     if arithmetic not in ("boolean", "integer"):
         raise ParameterError(f"unknown arithmetic {arithmetic!r}")
-    colmasks = W.column_masks()
-    bits = []
-    for row in W.rows:
-        acc = 0
-        for j in row:
-            acc |= colmasks[j]
-        bits.append(acc)
+    bits = np.empty((W.m, n_words(W.m)), dtype=_WORD)
+    for lo, hi, rows in _gram_rows(W):
+        bits[lo:hi] = rows
     counts = None
     if arithmetic == "integer":
         dense = W.dense().astype(np.int32)
         counts = dense @ dense.T
-    return GramMatrix(m=W.m, bits=tuple(bits), counts=counts)
+    return GramMatrix(m=W.m, bits=bits, counts=counts)
 
 
 def factorization_error(M: GramMatrix, W: SelectionMatrix,
@@ -196,15 +234,16 @@ def factorization_error(M: GramMatrix, W: SelectionMatrix,
     """
     if M.m != W.m:
         raise DimensionError(f"M is {M.m}x{M.m} but W has {W.m} rows")
-    G = gram(W, arithmetic)
     if arithmetic == "boolean":
+        # Compared chunk by chunk, so gram(W) is never held whole.
         total = 0
-        for a in range(M.m):
-            diff = M.bits[a] ^ G.bits[a]
-            if off_diagonal_only:
-                diff &= ~(1 << a)
-            total += diff.bit_count()
+        for lo, hi, rows in _gram_rows(W):
+            total += int(np.bitwise_count(rows ^ M.bits[lo:hi]).sum())
+        if off_diagonal_only:
+            # gram(W) has a unit diagonal: its disagreements are M's diagonal zeros.
+            total -= sum(1 - M.entry(a, a) for a in range(M.m))
         return total
+    G = gram(W, arithmetic)
     if M.counts is None:
         raise ParameterError("M has no integer entries")
     diff = np.asarray(M.counts) != G.counts

@@ -16,17 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegeneracyError, DimensionError, ParameterError,
-                     RankDeficiencyError, RoundingError, SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, factorization_error, gram,
-                       split_seed)
+from .errors import (DegeneracyError, DimensionError, ExtensionError,
+                     ParameterError, RankDeficiencyError, RoundingError,
+                     SsbmfError)
+from .instance import GramMatrix, SelectionMatrix, factorization_error, split_seed
 from .mu import MuTable, mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
 
 @dataclass
 class RecoverConfig:
-    mode: str = "anchored"           # "full" or "anchored"
+    mode: str = "anchored"           # "anchored", or "full" = all m rows as anchors
     anchors: int = None              # default min(m, max(4r, r + 16))
     seed: int = 0
     round_tol: float = 0.25
@@ -136,6 +136,7 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     For a non-anchor row a, the intersection counts against the anchors are
     c_ab = 2k - |S_a cup S_b| (mu-inverted from M); the row is the rounded
     least-squares solution of (anchor block) x = c, re-checked exactly.
+    A row that fails the k-sparsity or the re-check raises ExtensionError.
     """
     anchor_block = np.asarray(anchor_block, dtype=float)
     n0, r = anchor_block.shape
@@ -144,28 +145,28 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     if np.linalg.matrix_rank(anchor_block) < r:
         raise RankDeficiencyError("anchor block is column rank-deficient")
     anchor_indices = list(anchor_indices)
-    others = [a for a in range(M.m) if a not in set(anchor_indices)]
+    anchor_set = set(anchor_indices)
+    others = [a for a in range(M.m) if a not in anchor_set]
     rows = [None] * M.m
     for pos, a in enumerate(anchor_indices):
         sup = tuple(int(j) for j in np.flatnonzero(anchor_block[pos] > 0.5))
         if len(sup) != k:
-            raise SsbmfError(f"anchor row {a} is not {k}-sparse")
+            raise ExtensionError(f"anchor row {a} is not {k}-sparse")
         rows[a] = sup
-    if others:
-        unions = union_block(M, table, others, anchor_indices)
-        counts = 2 * k - unions
-        pinv = np.linalg.pinv(anchor_block)
-        sol = counts @ pinv.T
-        rounded = (sol > 0.5).astype(np.int64)
-        sums = rounded.sum(axis=1)
-        recheck = rounded @ anchor_block.T
-        for i, a in enumerate(others):
-            if sums[i] != k:
-                raise SsbmfError(
-                    f"row {a} rounded to sparsity {int(sums[i])}, expected {k}")
-            if not np.array_equal(recheck[i], counts[i]):
-                raise SsbmfError(f"row {a} fails the intersection re-check")
-            rows[a] = tuple(int(j) for j in np.flatnonzero(rounded[i]))
+    unions = union_block(M, table, others, anchor_indices)
+    counts = 2 * k - unions
+    pinv = np.linalg.pinv(anchor_block)
+    sol = counts @ pinv.T
+    rounded = (sol > 0.5).astype(np.int64)
+    sums = rounded.sum(axis=1)
+    recheck = rounded @ anchor_block.T
+    for i, a in enumerate(others):
+        if sums[i] != k:
+            raise ExtensionError(
+                f"row {a} rounded to sparsity {int(sums[i])}, expected {k}")
+        if not np.array_equal(recheck[i], counts[i]):
+            raise ExtensionError(f"row {a} fails the intersection re-check")
+        rows[a] = tuple(int(j) for j in np.flatnonzero(rounded[i]))
     return SelectionMatrix(m=M.m, r=r, k=k, rows=tuple(rows))
 
 
@@ -221,7 +222,6 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     table = mu_table(r, k)
     try:
         if config.mode == "full":
-            T = build_tensor(M, r, k, mode="full", table=table, clamp=config.clamp)
             indices = list(range(m))
         elif config.mode == "anchored":
             n0 = config.anchors or min(m, max(4 * r, r + 16))
@@ -230,29 +230,17 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
             rng = np.random.Generator(
                 np.random.Philox(key=split_seed(config.seed, 0x5eed)))
             indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
-            T = build_tensor(M, r, k, mode="anchored", anchors=indices,
-                             table=table, clamp=config.clamp)
         else:
             raise ParameterError(f"unknown mode {config.mode!r}")
+        T = build_tensor(M, r, k, mode="anchored", anchors=indices,
+                         table=table, clamp=config.clamp)
 
         vectors = jennrich_decompose(
             T, r, seed=config.seed, sv_cutoff=config.sv_cutoff,
             gap_tol=config.gap_tol, retries=config.retries,
             diagnostics=diagnostics)
         columns = [round_boolean(v, tol=config.round_tol) for v in vectors]
-        block = np.stack(columns, axis=1)
-
-        if config.mode == "full":
-            row_sums = block.sum(axis=1)
-            if np.any(row_sums != k):
-                bad = int(np.argmin(row_sums == k))
-                raise SsbmfError(
-                    f"row {bad} of the rounded factor has {int(row_sums[bad])} ones")
-            rows = tuple(tuple(int(j) for j in np.flatnonzero(block[a]))
-                         for a in range(m))
-            W_hat = SelectionMatrix(m=m, r=r, k=k, rows=rows)
-        else:
-            W_hat = extend_from_anchors(block, indices, M, table, k)
+        W_hat = extend_from_anchors(np.stack(columns, axis=1), indices, M, table, k)
     except (RankDeficiencyError, DegeneracyError, RoundingError, SsbmfError) as exc:
         if isinstance(exc, (ParameterError, DimensionError)):
             raise

@@ -1,9 +1,10 @@
 """Non-intersection probabilities and their inversion.
 
 mu_t is the probability that a fresh uniform k-subset of [r] avoids a fixed
-set of size t: mu_t = C(r-t, k) / C(r, k).  The table is kept in exact
-rational arithmetic so that inverting an observed zero-fraction back to a
-union size has no floating-point ambiguity at decision boundaries.
+set of size t: mu_t = C(r-t, k) / C(r, k), kept in exact rationals.  A zero
+co-occurrence count (m - popcount of the OR of packed Gram rows) inverts to
+the union size whose mu is nearest to count/m through exact integer
+thresholds, so no decision boundary is subject to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .instance import GramMatrix
+from .instance import GramMatrix, _row_chunks
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,36 @@ def invert_fraction(frac, table: MuTable) -> int:
 
 def zero_cooccurrence(M: GramMatrix, rows) -> int:
     """Number of columns that are zero in every one of the given rows."""
-    full = (1 << M.m) - 1
-    acc = full
+    rows = list(rows)
     for a in rows:
         if not 0 <= a < M.m:
             raise IndexError(f"row {a} out of range for m={M.m}")
-        acc &= ~M.bits[a] & full
-    return acc.bit_count()
+    return M.m - int(np.bitwise_count(np.bitwise_or.reduce(M.bits[rows])).sum())
+
+
+def zero_counts(M: GramMatrix, rows_a, rows_b=None, extra=None) -> np.ndarray:
+    """Zero co-occurrence counts of the pairs rows_a x rows_b (default: all
+    rows), or of the triples (a, b, extra); chunked over rows_a."""
+    B = M.bits if rows_b is None else M.bits[list(rows_b)]
+    rows_a = np.asarray(rows_a, dtype=np.intp)
+    out = np.empty((len(rows_a), len(B)), dtype=np.int64)
+    for lo, hi in _row_chunks(len(rows_a), B.size):
+        A = M.bits[rows_a[lo:hi]]
+        if extra is not None:
+            A |= M.bits[extra]
+        union = A[:, None, :] | B[None, :, :]
+        out[lo:hi] = M.m - np.bitwise_count(union).sum(axis=-1, dtype=np.int32)
+    return out
+
+
+def count_thresholds(m: int, table: MuTable) -> np.ndarray:
+    """Ascending ceil(m * (mu_t + mu_{t+1}) / 2) over t, in exact integers: a
+    count inverts to the number of thresholds strictly above it."""
+    r, k = table.r, table.k
+    denom = 2 * math.comb(r, k)
+    out = [-(-m * (math.comb(r - t, k) + math.comb(r - t - 1, k)) // denom)
+           for t in range(table.t_max)]
+    return np.array(out[::-1], dtype=np.int64)
 
 
 def invert_counts(counts, m: int, table: MuTable) -> np.ndarray:
@@ -79,44 +103,21 @@ def invert_counts(counts, m: int, table: MuTable) -> np.ndarray:
     Equivalent to invert_fraction(count / m) entrywise; ties at midpoints
     resolve toward the smaller union size.
     """
-    mids = [float(m * (table.values[t] + table.values[t + 1]) / 2)
-            for t in range(table.t_max)]
-    counts = np.asarray(counts)
-    # mu decreasing: t = number of midpoints strictly above the count
-    out = np.zeros(counts.shape, dtype=np.int64)
-    for mid in mids:
-        out += counts < mid
-    return out
+    thresholds = count_thresholds(m, table)
+    out = np.searchsorted(thresholds, counts, side="right")
+    return np.subtract(len(thresholds), out, out=out)
 
 
 def pairwise_union_sizes(M: GramMatrix, table: MuTable) -> np.ndarray:
     """|S_a cup S_b| for every row pair, by mu-inversion; diagonal set to k."""
-    m = M.m
-    full = (1 << m) - 1
-    comps = [~row & full for row in M.bits]
-    out = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        ca = comps[a]
-        for b in range(a + 1, m):
-            t = invert_fraction(Fraction((ca & comps[b]).bit_count(), m), table)
-            out[a, b] = out[b, a] = t
+    out = union_block(M, table, range(M.m))
     np.fill_diagonal(out, table.k)
     return out
 
 
 def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarray:
     """Union sizes for the row block rows_a x rows_b (default: all rows)."""
-    m = M.m
-    full = (1 << m) - 1
-    if rows_b is None:
-        rows_b = range(m)
-    rows_b = list(rows_b)
-    comps_b = [~M.bits[b] & full for b in rows_b]
-    counts = np.zeros((len(rows_a), len(rows_b)), dtype=np.int64)
-    for i, a in enumerate(rows_a):
-        ca = ~M.bits[a] & full
-        counts[i] = [(ca & cb).bit_count() for cb in comps_b]
-    return invert_counts(counts, m, table)
+    return invert_counts(zero_counts(M, rows_a, rows_b), M.m, table)
 
 
 def required_sample_size(r: int, k: int, t: int, delta: float, c0: float = 1.0) -> int:

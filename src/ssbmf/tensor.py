@@ -5,21 +5,22 @@ from mu-inverted union sizes:
 
     T_abc = t_abc - t_ab - t_ac - t_bc + 3k.
 
-Triple zero-co-occurrence counts for a whole slice are obtained by
-restricting the complemented Gram matrix to the columns where the anchor row
-is zero and multiplying the restriction by its transpose.  An exact oracle
-built directly from the generating supports is provided for testing.
+The zero co-occurrence counts behind the union sizes come from the packed
+Gram rows (``mu.zero_counts``): slice c of an anchored block ORs row c into
+every anchor row before the pair kernel.  An exact oracle built directly
+from the generating supports is provided for testing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect_right
 
 import numpy as np
 
 from .errors import DimensionError, InconsistencyError, ParameterError
 from .instance import GramMatrix, SelectionMatrix
-from .mu import MuTable, invert_counts, invert_fraction, mu_table
+from .mu import (MuTable, count_thresholds, invert_counts, mu_table,
+                 zero_cooccurrence, zero_counts)
 
 
 class IntersectionTensor:
@@ -72,15 +73,6 @@ def contract(T: IntersectionTensor, v) -> np.ndarray:
     return np.einsum("abc,c->ab", T.block.astype(float), v)
 
 
-def _complement_rows(M: GramMatrix, rows) -> np.ndarray:
-    """0/1 array (len(rows), m): 1 where the Gram entry is zero."""
-    nbytes = (M.m + 7) // 8
-    full = (1 << M.m) - 1
-    raw = b"".join((~M.bits[a] & full).to_bytes(nbytes, "little") for a in rows)
-    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return flat.reshape(len(rows), nbytes * 8)[:, : M.m]
-
-
 def _pie(t_abc, t_ab, t_ac, t_bc, k):
     return t_abc - t_ab - t_ac - t_bc + 3 * k
 
@@ -90,9 +82,9 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "full",
                  clamp: bool = False) -> IntersectionTensor:
     """Bootstrap the intersection tensor from the Boolean Gram matrix.
 
-    mode="full" materializes all m slices (memory m^3); mode="anchored"
-    materializes the subtensor on the given anchor rows; mode="lazy" only
-    supports per-entry access.  Entries outside {0..k} raise
+    mode="anchored" materializes the subtensor on the given anchor rows;
+    mode="full" is anchored mode over all m rows (memory m^3); mode="lazy"
+    only supports per-entry access.  Entries outside {0..k} raise
     InconsistencyError unless ``clamp`` is set.
     """
     if M.m < 1:
@@ -100,24 +92,13 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "full",
     if table is None:
         table = mu_table(r, k)
     m = M.m
+    thresholds = count_thresholds(m, table).tolist()
 
-    pair_cache = {}
-    full_mask = (1 << m) - 1
-
-    def invert_fraction_count(cnt):
-        return invert_fraction(Fraction(cnt, m), table)
-
-    def pair_union(a, b):
-        key = (a, b) if a <= b else (b, a)
-        if key not in pair_cache:
-            cnt = ((~M.bits[a] & full_mask) & (~M.bits[b] & full_mask)).bit_count()
-            pair_cache[key] = invert_fraction_count(cnt)
-        return pair_cache[key]
+    def union(*rows):
+        return len(thresholds) - bisect_right(thresholds, zero_cooccurrence(M, rows))
 
     def entry_fn(a, b, c):
-        acc = (~M.bits[a] & full_mask) & (~M.bits[b] & full_mask) & (~M.bits[c] & full_mask)
-        t_abc = invert_fraction_count(acc.bit_count())
-        val = _pie(t_abc, pair_union(a, b), pair_union(a, c), pair_union(b, c), k)
+        val = _pie(union(a, b, c), union(a, b), union(a, c), union(b, c), k)
         if not 0 <= val <= k:
             if clamp:
                 return min(max(val, 0), k)
@@ -128,26 +109,18 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "full",
         return IntersectionTensor(m, k, entry_fn=entry_fn)
 
     if mode == "full":
-        idx = list(range(m))
-        indices = None
-    elif mode == "anchored":
-        if anchors is None:
-            raise ParameterError("anchored mode requires an anchor set")
-        idx = list(anchors)
-        indices = idx
-    else:
+        anchors = range(m)
+    elif mode != "anchored":
         raise ParameterError(f"unknown mode {mode!r}")
-
-    Z = _complement_rows(M, idx).astype(np.float32)
+    if anchors is None:
+        raise ParameterError("anchored mode requires an anchor set")
+    idx = list(anchors)
     n = len(idx)
-    pair_counts = Z @ Z.T
-    t_pair = invert_counts(np.rint(pair_counts), m, table)
+    t_pair = invert_counts(zero_counts(M, idx, idx), m, table)
     block = np.zeros((n, n, n), dtype=np.int16)
     for i in range(n):
-        triple_counts = (Z * Z[i]) @ Z.T
-        t_triple = invert_counts(np.rint(triple_counts), m, table)
-        block[i] = (t_triple - t_pair[i][:, None] - t_pair[i][None, :] - t_pair
-                    + 3 * k)
+        t_triple = invert_counts(zero_counts(M, idx, idx, extra=idx[i]), m, table)
+        block[i] = _pie(t_triple, t_pair[i][:, None], t_pair[i][None, :], t_pair, k)
     bad = (block < 0) | (block > k)
     if bad.any():
         if clamp:
@@ -156,7 +129,7 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "full",
             i, j, l = np.argwhere(bad)[0]
             a, b, c = idx[i], idx[j], idx[l]
             raise InconsistencyError((a, b, c), int(block[i, j, l]))
-    return IntersectionTensor(m, k, block=block, indices=indices, entry_fn=entry_fn)
+    return IntersectionTensor(m, k, block=block, indices=idx, entry_fn=entry_fn)
 
 
 def oracle_tensor(W: SelectionMatrix, materialize: bool = False) -> IntersectionTensor:

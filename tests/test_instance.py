@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbmf import (DimensionError, ParameterError, SelectionMatrix,
-                   factorization_error, gen_selection_matrix, gram)
+                   factorization_error, gen_selection_matrix, gram,
+                   invert_fraction, mu_table, zero_cooccurrence)
+from ssbmf.cli import main
 from ssbmf.instance import GramMatrix
+from ssbmf.mu import union_block
 
 
 def brute_gram(rows, boolean=True):
@@ -96,7 +100,7 @@ def test_gram_permutation_covariant():
     perm = [2, 0, 4, 1, 3]
     rows = tuple(tuple(sorted(perm[j] for j in row)) for row in W.rows)
     W2 = SelectionMatrix(m=6, r=5, k=2, rows=rows)
-    assert gram(W).bits == gram(W2).bits
+    assert np.array_equal(gram(W).bits, gram(W2).bits)
 
 
 def test_factorization_error_zero_on_exact():
@@ -111,7 +115,7 @@ def test_factorization_error_counts_both_triangles():
 
 
 def test_factorization_error_all_ones_vs_disjoint():
-    M = GramMatrix(m=2, bits=(0b11, 0b11))
+    M = GramMatrix.from_json({"m": 2, "hex_rows": ["3", "3"]})
     W = SelectionMatrix(m=2, r=4, k=2, rows=((0, 1), (2, 3)))
     assert factorization_error(M, W) == 2
 
@@ -134,7 +138,7 @@ def test_selection_json_roundtrip(tmp_path):
 def test_gram_hex_roundtrip():
     M = gram(gen_selection_matrix(9, 6, 2, seed=5))
     M2 = GramMatrix.from_json(M.to_json())
-    assert M2.bits == M.bits
+    assert np.array_equal(M2.bits, M.bits)
     # nibble count and bit convention
     obj = M.to_json()
     assert all(len(s) == (9 + 3) // 4 for s in obj["hex_rows"])
@@ -150,7 +154,7 @@ def test_gram_roundtrip_property(seed, data):
     W = gen_selection_matrix(m, r, k, seed=seed)
     M = gram(W)
     assert factorization_error(M, W) == 0
-    assert GramMatrix.from_json(M.to_json()).bits == M.bits
+    assert np.array_equal(GramMatrix.from_json(M.to_json()).bits, M.bits)
     assert SelectionMatrix.from_json(W.to_json()).rows == W.rows
 
 
@@ -160,3 +164,60 @@ def test_csv_export(tmp_path):
     W.to_csv(path)
     data = np.loadtxt(path, delimiter=",")
     assert np.array_equal(data, W.dense())
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 130])
+def test_packed_kernels_match_brute_force(m):
+    # sizes around the word boundary, so the zero padding word is exercised
+    r, k = 12, 2
+    W = gen_selection_matrix(m, r, k, seed=m)
+    M = gram(W)
+    want = brute_gram(W.rows)
+    zero = want == 0
+    assert np.array_equal(M.dense(), want)
+    assert all(M.entry(a, b) == want[a, b] for a in range(m) for b in range(m))
+    rng = np.random.Generator(np.random.Philox(key=m))
+    for size in (1, 2, 3):
+        for _ in range(4):
+            rows = rng.integers(0, m, size=size).tolist()
+            assert zero_cooccurrence(M, rows) == int(zero[rows].all(axis=0).sum())
+    table = mu_table(r, k)
+    rows_a = rng.integers(0, m, size=5).tolist()
+    block = union_block(M, table, rows_a)
+    for i, a in enumerate(rows_a):
+        for b in range(m):
+            count = int((zero[a] & zero[b]).sum())
+            assert block[i, b] == invert_fraction(Fraction(count, m), table)
+    # a direct packed matrix with some diagonal zeros against another W
+    bits = M.bits.copy()
+    for a in range(0, m, 3):
+        bits[a, a // 64] ^= np.uint64(1 << (a % 64))
+    M_diag = GramMatrix(m=m, bits=bits)
+    W2 = gen_selection_matrix(m, r, k, seed=m + 1)
+    diff = M_diag.dense() != brute_gram(W2.rows)
+    assert factorization_error(M_diag, W2) == int(diff.sum())
+    np.fill_diagonal(diff, False)
+    assert factorization_error(M_diag, W2, off_diagonal_only=True) == int(diff.sum())
+    obj = json.loads(json.dumps(M.to_json()))
+    M2 = GramMatrix.from_json(obj)
+    assert np.array_equal(M2.bits, M.bits) and np.array_equal(M2.dense(), want)
+    assert M2.to_json() == obj
+
+
+@pytest.mark.parametrize("obj", [
+    {"m": 3, "hex_rows": ["ff", "1", "2"]},        # stray bits, zero diagonal
+    {"m": 2, "hex_rows": ["1", "3"]},              # asymmetric
+    {"m": 3, "hex_rows": ["7", "7"]},              # short row list
+    {"m": 3, "hex_rows": ["f", "7", "7"]},         # bit 3 set although m = 3
+    {"m": 2, "hex_rows": ["2", "1"]},              # symmetric, zero diagonal
+    {"m": 1, "hex_rows": ["g"]},                   # not hex
+    {"m": 5, "hex_rows": ["1f"] * 4 + [" f"]},     # a space in place of a digit
+    {"m": 0, "hex_rows": []},                      # empty
+    {"m": 65, "hex_rows": ["0" + "f" * 16] + ["1" + "f" * 16] * 64},  # (0, 64) != (64, 0)
+])
+def test_gram_from_json_rejects_malformed(obj, tmp_path):
+    with pytest.raises(ParameterError):
+        GramMatrix.from_json(obj)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    assert main(["attack", "--gram", str(path), "--r", "4", "--k", "2"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssbmf import (ParameterError, RecoverConfig, RoundingError,
+from ssbmf import (ExtensionError, ParameterError, RecoverConfig, RoundingError,
                    extend_from_anchors, gen_selection_matrix, gram,
                    jennrich_decompose, match_columns, mu_table, oracle_tensor,
                    round_boolean, tensor_recover)
@@ -77,6 +77,15 @@ def test_extend_rejects_rank_deficient_block():
         extend_from_anchors(block, list(range(8)), M, table, 2)
 
 
+def test_extend_rejects_non_sparse_anchor_row():
+    W = gen_selection_matrix(100, 6, 2, seed=1)
+    M = gram(W)
+    block = W.dense()[:30].copy()
+    block[0] = 1
+    with pytest.raises(ExtensionError):
+        extend_from_anchors(block, list(range(30)), M, mu_table(6, 2), 2)
+
+
 def test_extend_needs_enough_anchors():
     table = mu_table(6, 2)
     M = gram(gen_selection_matrix(20, 6, 2, seed=1))
@@ -118,7 +127,7 @@ def test_tensor_recover_end_to_end_small():
 def test_tensor_recover_failure_flag_on_garbage():
     # all-ones Gram matrix is inconsistent with any k-sparse factorization
     m = 64
-    M = GramMatrix(m=m, bits=tuple((1 << m) - 1 for _ in range(m)))
+    M = GramMatrix.from_json({"m": m, "hex_rows": [format((1 << m) - 1, "x")] * m})
     res = tensor_recover(M, 8, 2, RecoverConfig(mode="full"))
     assert not res.success
     assert res.W_hat is None

@@ -78,12 +78,17 @@ def test_invert_exact_values_roundtrip():
 
 
 def test_invert_counts_matches_scalar():
-    table = mu_table(14, 2)
-    m = 500
-    counts = np.arange(0, m + 1, 7)
-    vec = invert_counts(counts, m, table)
-    for c, t in zip(counts, vec):
-        assert t == invert_fraction(Fraction(int(c), m), table)
+    for r, k, m in [(14, 2, 500),
+                    (10, 2, 45),      # count 32 sits exactly on the mu_1/mu_2 midpoint
+                    (16, 3, 13302),
+                    (50, 9, 13302)]:  # C(50, 9) > 10^9
+        table = mu_table(r, k)
+        mids = [m * (table.values[t] + table.values[t + 1]) / 2 for t in range(table.t_max)]
+        near = [c for mid in mids for c in range(math.floor(mid) - 1, math.ceil(mid) + 2)]
+        counts = np.union1d(np.arange(0, m + 1, 7), np.clip(near, 0, m))
+        vec = invert_counts(counts, m, table)
+        for c, t in zip(counts, vec):
+            assert t == invert_fraction(Fraction(int(c), m), table)
 
 
 def test_zero_cooccurrence_against_sets():

@@ -45,7 +45,7 @@ def test_gen_instahide_shapes_and_consistency():
     assert syn.Z.shape == (25, 3)
     assert np.all(syn.Z >= 0)
     assert np.allclose(syn.Z, np.abs(syn.W.dense() @ X.X))
-    assert M.m == 25 and gram(syn.W).bits == M.bits
+    assert M.m == 25 and np.array_equal(gram(syn.W).bits, M.bits)
 
 
 def test_gen_instahide_requires_k_at_least_2():
@@ -166,7 +166,7 @@ def test_recover_dataset_end_to_end():
 def test_recover_dataset_failure_passthrough():
     from ssbmf.instance import GramMatrix
     m = 64
-    M = GramMatrix(m=m, bits=tuple((1 << m) - 1 for _ in range(m)))
+    M = GramMatrix.from_json({"m": m, "hex_rows": [format((1 << m) - 1, "x")] * m})
     syn = SyntheticDataset(Z=np.zeros((m, 2)))
     dataset, report = recover_dataset(M, syn, 8, 2,
                                       recover_config=RecoverConfig(mode="full"))

@@ -104,7 +104,7 @@ def test_inconsistency_raised_and_clamped():
     m, r, k = 6, 10, 2
     full = (1 << m) - 1
     from ssbmf.instance import GramMatrix
-    M = GramMatrix(m=m, bits=tuple(full for _ in range(m)))
+    M = GramMatrix.from_json({"m": m, "hex_rows": [format(full, "x")] * m})
     with pytest.raises(InconsistencyError):
         build_tensor(M, r, k, mode="full")
     T = build_tensor(M, r, k, mode="full", clamp=True)
