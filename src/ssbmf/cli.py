@@ -119,6 +119,8 @@ def _cmd_csp(args) -> int:
 
 def _cmd_probe(args) -> int:
     if args.what == "rank":
+        if args.infile is None:
+            raise ParameterError("probe rank needs --in, a selection-matrix JSON file")
         W = SelectionMatrix.from_json(load_json(args.infile))
         report = probes.rank_report(W, primes=args.primes, seed=args.seed)
         obj = {"rank_f2": report.rank_f2, "rank_real": report.rank_real,

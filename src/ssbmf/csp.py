@@ -66,10 +66,7 @@ class CspInstance:
         return itertools.combinations(range(self.m), 2)
 
     def to_json(self) -> dict:
-        if self.bipartite:
-            targets = [int(self.targets[u, v]) for u, v in self.edges()]
-        else:
-            targets = [int(self.targets[u, v]) for u, v in self.edges()]
+        targets = [int(self.targets[u, v]) for u, v in self.edges()]
         return {"m": self.m, "r": self.r, "k": self.k, "mode": self.mode,
                 "bipartite": self.bipartite, "targets": targets}
 

@@ -7,8 +7,7 @@ A selection matrix doubles as the incidence matrix of a k-uniform hypergraph
 hypergraph's line graph plus self-loops.
 
 Bit conventions used throughout the package:
-  - a row support is also stored as an r-bit mask, bit j set <=> column j in
-    the support;
+  - a selection matrix is an (m, k) array of sorted column indices;
   - a Gram matrix is an (m, ceil(m/64)) array of little-endian uint64 words,
     entry (a, j) = bit j % 64 of word j // 64 of row a, zero at j >= m.
 With zero padding, the columns that are zero in a set of Gram rows number
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,16 @@ def _row_chunks(n: int, words_per_row: int):
         yield lo, min(n, lo + step)
 
 
+def _json_ints(obj, *keys) -> list:
+    """The integer fields ``keys`` of a decoded JSON object (ParameterError)."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"expected a JSON object, got {type(obj).__name__}")
+    values = [obj[key] for key in keys]
+    if not all(type(v) is int for v in values):
+        raise ParameterError(f"{', '.join(keys)} must be integers, got {values}")
+    return values
+
+
 def split_seed(seed: int, index: int) -> int:
     """Per-unit seed for parallel-safe deterministic generation."""
     return (seed ^ index) & _SEED_MASK
@@ -52,49 +61,70 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _SEED_MASK))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SelectionMatrix:
-    """m x r Boolean matrix with exactly k ones per row."""
+    """m x r Boolean matrix with exactly k ones per row.
+
+    ``support`` is the one stored form: a read-only (m, k) integer array
+    whose row a holds the columns of row a in increasing order.  The
+    constructor takes any (m, k) array-like of k-subsets of [0, r).
+    """
 
     m: int
     r: int
     k: int
-    rows: tuple  # tuple of m sorted index tuples, each of length k
-    masks: tuple = field(default=None)  # r-bit masks, parallel to rows
+    support: np.ndarray
 
-    def __post_init__(self):
-        if self.k < 1 or self.r < 1 or self.m < 1 or self.k > self.r:
-            raise ParameterError(
-                f"need 1 <= k <= r and m >= 1, got m={self.m} r={self.r} k={self.k}")
-        if len(self.rows) != self.m:
-            raise DimensionError(f"expected {self.m} rows, got {len(self.rows)}")
-        for row in self.rows:
-            if len(row) != self.k or len(set(row)) != self.k:
-                raise ParameterError(f"row {row} is not a {self.k}-subset")
-            if min(row) < 0 or max(row) >= self.r:
-                raise ParameterError(f"row {row} has indices outside [0, {self.r})")
-        if self.masks is None:
-            masks = tuple(sum(1 << j for j in row) for row in self.rows)
-            object.__setattr__(self, "masks", masks)
+    def __init__(self, m: int, r: int, k: int, rows):
+        if k < 1 or r < 1 or m < 1 or k > r:
+            raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
+        try:
+            support = np.array(rows)
+        except ValueError as exc:  # ragged rows
+            raise ParameterError(f"rows are not {k}-subsets: {exc}") from None
+        if support.ndim != 2 or len(support) != m:
+            raise DimensionError(f"expected {m} rows of {k} indices, got shape {support.shape}")
+        if support.shape[1] != k or support.dtype.kind not in "iu":
+            raise ParameterError(f"rows must hold {k} integers, got {support.shape[1]} "
+                                 f"of dtype {support.dtype}")
+        support = np.sort(support, axis=1).astype(np.intp)
+        bad = (support[:, 0] < 0) | (support[:, -1] >= r) | np.any(
+            support[:, 1:] == support[:, :-1], axis=1)
+        if bad.any():
+            a = int(np.argmax(bad))
+            raise ParameterError(f"row {a} = {support[a].tolist()} is not a "
+                                 f"{k}-subset of [0, {r})")
+        support.flags.writeable = False
+        for name, value in (("m", m), ("r", r), ("k", k), ("support", support)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> tuple:
+        """The supports as a tuple of m sorted index tuples (derived)."""
+        return tuple(map(tuple, self.support.tolist()))
 
     def dense(self) -> np.ndarray:
         """0/1 array of shape (m, r)."""
         out = np.zeros((self.m, self.r), dtype=np.int8)
-        for a, row in enumerate(self.rows):
-            out[a, list(row)] = 1
+        np.put_along_axis(out, self.support, 1, axis=1)
         return out
 
     def to_json(self, seed=None) -> dict:
-        obj = {"m": self.m, "r": self.r, "k": self.k,
-               "rows": [list(row) for row in self.rows]}
+        obj = {"m": self.m, "r": self.r, "k": self.k, "rows": self.support.tolist()}
         if seed is not None:
             obj["seed"] = int(seed)
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SelectionMatrix":
-        rows = tuple(tuple(sorted(row)) for row in obj["rows"])
-        return cls(m=int(obj["m"]), r=int(obj["r"]), k=int(obj["k"]), rows=rows)
+        """Decode and check that m, r, k and every row entry are JSON
+        integers (not bools or floats) before construction (ParameterError)."""
+        m, r, k = _json_ints(obj, "m", "r", "k")
+        rows = obj["rows"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and all(type(j) is int for row in rows for j in row)):
+            raise ParameterError("rows must be lists of integers")
+        return cls(m=m, r=r, k=k, rows=rows)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -133,15 +163,20 @@ class GramMatrix:
         # Big-endian hex per row: reverse the little-endian bytes, then drop
         # the leading nibbles, which hold only zero padding.
         nibbles = (self.m + 3) // 4
-        return {"m": self.m,
-                "hex_rows": [row[::-1].tobytes().hex()[-nibbles:]
-                             for row in self.bits.view(np.uint8)]}
+        obj = {"m": self.m,
+               "hex_rows": [row[::-1].tobytes().hex()[-nibbles:]
+                            for row in self.bits.view(np.uint8)]}
+        if self.counts is not None:
+            obj["counts"] = np.asarray(self.counts).tolist()
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramMatrix":
         """Decode and check the row count, ceil(m/4) hex digits per row, no bit
-        at a position >= m, the unit diagonal and symmetry (ParameterError)."""
-        m = int(obj["m"])
+        at a position >= m, the unit diagonal and symmetry; optional integer
+        ``counts`` must be an m x m symmetric array of non-negative integers,
+        positive exactly where the bit is set (ParameterError)."""
+        (m,) = _json_ints(obj, "m")
         rows = obj["hex_rows"]
         if m < 1 or not isinstance(rows, list) or len(rows) != m:
             raise ParameterError(f"expected a list of m={m} >= 1 hex rows")
@@ -162,7 +197,21 @@ class GramMatrix:
                 raise ParameterError(f"not symmetric in rows {64 * w}..{64 * w + 63}")
             if not np.diagonal(block, offset=64 * w).all():
                 raise ParameterError(f"a diagonal entry in rows {64 * w}.. is 0")
-        return cls(m=m, bits=bits)
+        M = cls(m=m, bits=bits)
+        if "counts" not in obj:
+            return M
+        try:
+            counts = np.array(obj["counts"])
+        except ValueError as exc:  # ragged rows
+            raise ParameterError(f"counts is not an m x m array: {exc}") from None
+        if counts.shape != (m, m) or counts.dtype.kind not in "iu":
+            raise ParameterError(f"counts must be {m} x {m} integers, got shape "
+                                 f"{counts.shape} of dtype {counts.dtype}")
+        if counts.min() < 0 or not np.array_equal(counts, counts.T):
+            raise ParameterError("counts must be non-negative and symmetric")
+        if not np.array_equal(counts > 0, M.dense() > 0):
+            raise ParameterError("counts must be positive exactly where the Boolean entry is 1")
+        return cls(m=m, bits=bits, counts=counts)
 
     def to_csv(self, path, arithmetic: str = "boolean") -> None:
         data = self.dense() if arithmetic == "boolean" else self.counts
@@ -191,7 +240,7 @@ def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
     """
     if k < 1 or r < 1 or m < 1 or k > r:
         raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
-    rows = tuple(sample_k_subset(_rng(split_seed(seed, i)), r, k) for i in range(m))
+    rows = [sample_k_subset(_rng(split_seed(seed, i)), r, k) for i in range(m)]
     return SelectionMatrix(m=m, r=r, k=k, rows=rows)
 
 
@@ -205,9 +254,8 @@ def _gram_rows(W: SelectionMatrix):
     cols = np.zeros((W.r, n_words(m)), dtype=_WORD)
     cols.view(np.uint8)[:, : (m + 7) // 8] = np.packbits(
         W.dense().T.astype(bool), axis=1, bitorder="little")
-    support = np.array(W.rows, dtype=np.intp)
     for lo, hi in _row_chunks(m, W.k * n_words(m)):
-        yield lo, hi, np.bitwise_or.reduce(cols[support[lo:hi]], axis=1)
+        yield lo, hi, np.bitwise_or.reduce(cols[W.support[lo:hi]], axis=1)
 
 
 def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:

@@ -144,30 +144,26 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
         raise ParameterError(f"need at least r={r} anchors, got {n0}")
     if np.linalg.matrix_rank(anchor_block) < r:
         raise RankDeficiencyError("anchor block is column rank-deficient")
-    anchor_indices = list(anchor_indices)
-    anchor_set = set(anchor_indices)
-    others = [a for a in range(M.m) if a not in anchor_set]
-    rows = [None] * M.m
-    for pos, a in enumerate(anchor_indices):
-        sup = tuple(int(j) for j in np.flatnonzero(anchor_block[pos] > 0.5))
-        if len(sup) != k:
-            raise ExtensionError(f"anchor row {a} is not {k}-sparse")
-        rows[a] = sup
-    unions = union_block(M, table, others, anchor_indices)
-    counts = 2 * k - unions
-    pinv = np.linalg.pinv(anchor_block)
-    sol = counts @ pinv.T
-    rounded = (sol > 0.5).astype(np.int64)
-    sums = rounded.sum(axis=1)
-    recheck = rounded @ anchor_block.T
-    for i, a in enumerate(others):
+    anchor_indices = np.asarray(anchor_indices, dtype=np.intp)
+    rounded = np.zeros((M.m, r), dtype=bool)
+    rounded[anchor_indices] = anchor_block > 0.5
+    sparse = rounded[anchor_indices].sum(axis=1) == k
+    if not sparse.all():
+        a = int(anchor_indices[np.argmin(sparse)])
+        raise ExtensionError(f"anchor row {a} is not {k}-sparse")
+    others = np.setdiff1d(np.arange(M.m), anchor_indices)
+    counts = 2 * k - union_block(M, table, others, anchor_indices)
+    extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
+    sums = extended.sum(axis=1)
+    bad = (sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
         if sums[i] != k:
             raise ExtensionError(
-                f"row {a} rounded to sparsity {int(sums[i])}, expected {k}")
-        if not np.array_equal(recheck[i], counts[i]):
-            raise ExtensionError(f"row {a} fails the intersection re-check")
-        rows[a] = tuple(int(j) for j in np.flatnonzero(rounded[i]))
-    return SelectionMatrix(m=M.m, r=r, k=k, rows=tuple(rows))
+                f"row {others[i]} rounded to sparsity {int(sums[i])}, expected {k}")
+        raise ExtensionError(f"row {others[i]} fails the intersection re-check")
+    rounded[others] = extended
+    return SelectionMatrix(m=M.m, r=r, k=k, rows=np.nonzero(rounded)[1].reshape(M.m, k))
 
 
 def match_columns(W_hat: SelectionMatrix, W_ref: SelectionMatrix):
@@ -241,7 +237,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
             diagnostics=diagnostics)
         columns = [round_boolean(v, tol=config.round_tol) for v in vectors]
         W_hat = extend_from_anchors(np.stack(columns, axis=1), indices, M, table, k)
-    except (RankDeficiencyError, DegeneracyError, RoundingError, SsbmfError) as exc:
+    except SsbmfError as exc:
         if isinstance(exc, (ParameterError, DimensionError)):
             raise
         diagnostics["seconds"] = time.perf_counter() - start

@@ -60,8 +60,8 @@ def rank_f2(W: SelectionMatrix) -> int:
     """Column rank over F2 by bit-packed elimination on the r-bit row masks."""
     pivots = []
     rank = 0
-    for mask in W.masks:
-        row = mask
+    for support in W.rows:
+        row = sum(1 << j for j in support)
         for piv in pivots:
             low = piv & -piv
             if row & low:

@@ -64,8 +64,8 @@ class SyntheticDataset:
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z, dtype=float)
-        if np.any(self.Z < 0):
-            raise ParameterError("synthetic data must be nonnegative")
+        if not np.all(np.isfinite(self.Z)) or np.any(self.Z < 0):
+            raise ParameterError("synthetic data must be finite and nonnegative")
         if self.Y is not None and not np.allclose(self.Z, np.abs(self.Y)):
             raise ParameterError("Z must equal |Y| entrywise")
 
@@ -108,6 +108,8 @@ def get_heavy_coordinates(W: SelectionMatrix, z,
 
     Accurate (within 1 +- eta) for coordinates whose magnitude is at least
     c_heavy * (k/r) times the total absolute mass, once m is large enough.
+    ``z`` may also be an (m, d) matrix |W P|; column j of the (r, d) result
+    is then the estimate for column j of P.
     """
     if cfg is None:
         cfg = HeavyRecoveryConfig()
@@ -115,13 +117,12 @@ def get_heavy_coordinates(W: SelectionMatrix, z,
     if r < 2 * k or r < 3:
         raise ParameterError(f"need r >= 2k and r >= 3, got r={r} k={k}")
     z = np.asarray(z, dtype=float)
-    if z.shape != (m,):
-        raise ParameterError(f"expected z of length {m}, got {z.shape}")
+    if z.ndim not in (1, 2) or len(z) != m:
+        raise ParameterError(f"expected z with {m} rows, got shape {z.shape}")
     if np.any(z < 0):
         raise ParameterError("z must be nonnegative")
-    dense = W.dense().astype(float)
     z2 = z * z
-    p_tilde = (dense.T @ z2 - (k - 1) / (r - 2) * z2.sum()) / m
+    p_tilde = (W.dense().astype(float).T @ z2 - (k - 1) / (r - 2) * z2.sum(axis=0)) / m
     q_hat = p_tilde * (r * (r - 1)) / (k * (r - 2 * k + 1))
     return np.sqrt(np.clip(q_hat, 0.0, None))
 
@@ -137,18 +138,14 @@ def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,
     """
     if cfg is None:
         cfg = HeavyRecoveryConfig()
+    Z = synthetic.Z
+    if Z.ndim != 2 or Z.shape[0] != M.m:
+        raise ParameterError(f"synthetic dataset has shape {Z.shape}, expected {M.m} rows")
     factors = tensor_recover(M, r, k, recover_config)
     if not factors.success:
         return None, {"success": False, "failure": factors.failure,
                       "factorization": factors.report()}
-    W_hat = factors.W_hat
-    Z = synthetic.Z
-    if Z.shape[0] != M.m:
-        raise ParameterError("synthetic dataset and Gram matrix disagree on m")
-    d = Z.shape[1]
-    X_hat = np.zeros((r, d))
-    for j in range(d):
-        X_hat[:, j] = get_heavy_coordinates(W_hat, Z[:, j], cfg)
+    X_hat = get_heavy_coordinates(factors.W_hat, Z, cfg)
     masses = np.abs(X_hat).sum(axis=0)
     with np.errstate(invalid="ignore"):
         heavy = np.abs(X_hat) >= cfg.c_heavy * (k / r) * masses[None, :]

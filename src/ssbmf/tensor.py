@@ -134,7 +134,7 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "full",
 
 def oracle_tensor(W: SelectionMatrix, materialize: bool = False) -> IntersectionTensor:
     """Exact tensor |S_a cap S_b cap S_c| computed directly from the supports."""
-    masks = W.masks
+    masks = [sum(1 << j for j in row) for row in W.rows]
 
     def entry_fn(a, b, c):
         return (masks[a] & masks[b] & masks[c]).bit_count()

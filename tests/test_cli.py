@@ -1,8 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from ssbmf.cli import main
+
+W_CYCLE = {"m": 4, "r": 4, "k": 2, "rows": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+G_CYCLE = {"m": 4, "hex_rows": ["b", "7", "e", "d"]}  # Boolean Gram of W_CYCLE
 
 
 def test_gen_gram_attack_roundtrip(tmp_path, capsys):
@@ -62,6 +66,59 @@ def test_csp_subcommand(tmp_path, capsys):
                  "--mode", "bool", "--solver", "exact"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["gap"] == 0 and out["off_diagonal_l0"] == 0
+
+
+def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
+    w, g = tmp_path / "w.json", tmp_path / "g.json"
+    w.write_text(json.dumps(W_CYCLE))
+    assert main(["gram", "--in", str(w), "--out", str(g)]) == 0
+    assert "counts" not in json.loads(g.read_text())
+    assert main(["gram", "--in", str(w), "--arithmetic", "integer", "--out", str(g)]) == 0
+    obj = json.loads(g.read_text())
+    assert obj["counts"] == [[2, 1, 0, 1], [1, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]]
+    csp = ["csp", "--gram", str(g), "--r", "4", "--k", "2", "--mode", "int",
+           "--solver", "exact"]
+    assert main(csp) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gap"] == 0 and out["off_diagonal_l0"] == 0
+    good = obj["counts"]
+    malformed = [
+        [[2, 1, 0, 1], [2, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]],   # asymmetric
+        [[-2, 1, 0, 1]] + good[1:],                                 # negative
+        [[0, 1, 0, 1]] + good[1:],                                  # zero where the bit is 1
+        [[2, 1, 1, 1], [1, 2, 1, 0], [1, 1, 2, 1], [1, 0, 1, 2]],   # positive where it is 0
+        [[2.5, 1, 0, 1]] + good[1:],                                # not integers
+        good[:3],                                                   # 3 x 4
+        [[2, 1, 0]] + good[1:],                                     # ragged
+        "22",
+    ]
+    for counts in malformed:
+        g.write_text(json.dumps({**obj, "counts": counts}))
+        assert main(csp) == 2, counts
+
+
+@pytest.mark.parametrize("files,argv", [
+    ({"w.json": {**W_CYCLE, "rows": [[0, 1.5], [1, 2], [2, 3], [0, 3]]}}, ["gram", "--in", "w.json"]),
+    ({"w.json": {**W_CYCLE, "rows": [[0, True], [1, 2], [2, 3], [0, 3]]}}, ["gram", "--in", "w.json"]),
+    ({"w.json": {**W_CYCLE, "rows": [[0], [1, 2], [2, 3], [0, 3]]}}, ["gram", "--in", "w.json"]),
+    ({"w.json": {**W_CYCLE, "m": 4.0}}, ["gram", "--in", "w.json"]),
+    ({"w.json": [W_CYCLE]}, ["gram", "--in", "w.json"]),
+    ({"g.json": ["3", "3"]}, ["attack", "--gram", "g.json", "--r", "4", "--k", "2"]),
+    ({}, ["probe", "rank"]),
+    ({"g.json": G_CYCLE, "z.csv": "1,2\n1,2\n1,2\n"},
+     ["recover", "--gram", "g.json", "--synthetic", "z.csv", "--r", "4", "--k", "2"]),
+    ({"g.json": G_CYCLE, "z.csv": "nan,2\n1,2\n1,2\n1,2\n"},
+     ["recover", "--gram", "g.json", "--synthetic", "z.csv", "--r", "4", "--k", "2"]),
+], ids=["float-entry", "bool-entry", "short-row", "float-m", "W-not-object",
+        "M-not-object", "probe-rank-without-in", "Z-rows-not-m", "Z-not-finite"])
+def test_input_errors_exit_2(files, argv, tmp_path, capsys):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    if argv[0] == "gram":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_probe_subcommands(tmp_path, capsys):

@@ -57,6 +57,36 @@ def test_parameter_errors():
         gen_selection_matrix(0, 4, 2, seed=0)
 
 
+@pytest.mark.parametrize("m,r,k", [(1, 5, 2), (1, 3, 3), (6, 4, 4), (9, 1, 1)])
+def test_dense_and_gram_at_edges(m, r, k):
+    W = gen_selection_matrix(m, r, k, seed=m + r)
+    want = np.array([[int(j in row) for j in range(r)] for row in W.rows])
+    assert np.array_equal(W.dense(), want)
+    assert np.array_equal(gram(W).dense(), brute_gram(W.rows))
+    assert np.array_equal(gram(W, "integer").counts, brute_gram(W.rows, boolean=False))
+    assert factorization_error(gram(W), W) == 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1.5]],          # a float entry is not truncated to 1
+    [[True, False]],     # bool entries are not indices
+    [[0]],               # short row
+    [[0, 1], [2]],       # ragged
+    [[1, 1]],            # repeated index
+    [[0, 4]],            # index >= r
+    [[-1, 2]],
+])
+def test_selection_matrix_rejects_bad_rows(rows):
+    with pytest.raises((ParameterError, DimensionError)):
+        SelectionMatrix(m=len(rows), r=4, k=2, rows=rows)
+
+
+def test_selection_matrix_support_is_sorted_and_read_only():
+    W = SelectionMatrix(m=2, r=5, k=3, rows=[(4, 0, 2), (1, 3, 2)])
+    assert W.rows == ((0, 2, 4), (1, 2, 3))
+    assert W.support.shape == (2, 3) and not W.support.flags.writeable
+
+
 def test_gram_boolean_example():
     W = SelectionMatrix(m=3, r=4, k=2, rows=((0, 1), (1, 2), (2, 3)))
     M = gram(W, "boolean")

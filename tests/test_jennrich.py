@@ -66,6 +66,29 @@ def test_extend_from_anchors_exact():
     assert W_hat.rows == W.rows
 
 
+def test_extend_from_anchors_readme_instance():
+    # m = required_sample_size(16, 3, 9, 0.1): the README instance
+    W = gen_selection_matrix(13302, 16, 3, seed=0)
+    rng = np.random.Generator(np.random.Philox(key=64))
+    anchors = sorted(rng.choice(W.m, size=64, replace=False).tolist())
+    W_hat = extend_from_anchors(W.dense()[anchors], anchors, gram(W), mu_table(16, 3), 3)
+    assert W_hat.rows == W.rows
+    assert np.array_equal(W_hat.support, W.support)
+
+
+def test_extend_rejects_non_sparse_extended_row():
+    W = gen_selection_matrix(400, 6, 2, seed=1)
+    M = gram(W)
+    # row 200 meets every row, so its zero counts are 0: maximal unions,
+    # zero intersections with the anchors, and an all-zero rounded row
+    bits = M.bits.copy()
+    bits[200] = gram(SelectionMatrix(m=400, r=1, k=1, rows=[[0]] * 400)).bits[0]
+    bits[:, 200 // 64] |= np.uint64(1 << (200 % 64))
+    with pytest.raises(ExtensionError, match="row 200 rounded to sparsity 0"):
+        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits),
+                            mu_table(6, 2), 2)
+
+
 def test_extend_rejects_rank_deficient_block():
     table = mu_table(6, 2)
     W = gen_selection_matrix(100, 6, 2, seed=1)

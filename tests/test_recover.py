@@ -119,6 +119,19 @@ def test_heavy_estimator_population_value():
     assert np.allclose(est, factor * np.abs(p), atol=1e-10)
 
 
+def test_heavy_estimator_matrix_input_matches_columns():
+    W = gen_selection_matrix(500, 20, 3, seed=2)
+    rng = np.random.Generator(np.random.Philox(key=10))
+    Z = np.abs(W.dense().astype(float) @ rng.normal(size=(20, 6)))
+    est = get_heavy_coordinates(W, Z)
+    assert est.shape == (20, 6)
+    for j in range(6):
+        assert np.allclose(est[:, j], get_heavy_coordinates(W, Z[:, j]),
+                           rtol=1e-12, atol=0)
+    with pytest.raises(ParameterError):
+        get_heavy_coordinates(W, Z[:-1])
+
+
 def test_heavy_estimator_scale_equivariant():
     W = gen_selection_matrix(500, 20, 3, seed=2)
     rng = np.random.Generator(np.random.Philox(key=6))
