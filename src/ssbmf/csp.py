@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import GramMatrix, SelectionMatrix, split_seed
+from .instance import GramMatrix, SelectionMatrix, _rng
 
 
 def rank_subset(subset) -> int:
@@ -179,9 +179,7 @@ def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
     all_letters = [frozenset(unrank_subset(t, inst.r, inst.k)) for t in range(q)]
     best = None
     for restart in range(max(1, restarts)):
-        rng = np.random.Generator(
-            np.random.Philox(key=split_seed(seed, restart)))
-        sigma = [int(x) for x in rng.integers(0, q, size=n)]
+        sigma = [int(x) for x in _rng(seed, restart).integers(0, q, size=n)]
         letters = [all_letters[t] for t in sigma]
         value = evaluate(inst, sigma)
         for _ in range(iters):
@@ -225,8 +223,7 @@ def assignment_to_factors(inst: CspInstance, assignment: Assignment):
             V[letters[inst.m + v], v] = 1
         residual = int(np.sum(U @ V != inst.targets))
         return (U, V), residual
-    rows = tuple(tuple(letter) for letter in letters)
-    W = SelectionMatrix(m=inst.m, r=inst.r, k=inst.k, rows=rows)
+    W = SelectionMatrix(m=inst.m, r=inst.r, k=inst.k, rows=letters)
     dense = W.dense().astype(np.int64)
     prod = dense @ dense.T
     if inst.mode == "boolean":

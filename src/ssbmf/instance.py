@@ -17,6 +17,7 @@ m - popcount(OR of the rows); all mu-kernels use this.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
-_SEED_MASK = (1 << 64) - 1
 _WORD = np.dtype("<u8")
 _CHUNK_WORDS = 1 << 16  # words per temporary in the chunked row kernels
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -52,13 +52,16 @@ def _json_ints(obj, *keys) -> list:
 
 
 def split_seed(seed: int, index: int) -> int:
-    """Per-unit seed for parallel-safe deterministic generation."""
-    return (seed ^ index) & _SEED_MASK
+    """Seed of child stream ``index`` of ``seed``: a 128-bit hash of both
+    integers, so distinct (seed, index) pairs, nested splits included, give
+    distinct seeds (up to hash collisions)."""
+    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=16).digest()
+    return int.from_bytes(digest, "little")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based, so per-row streams are independent.
-    return np.random.Generator(np.random.Philox(key=seed & _SEED_MASK))
+def _rng(seed: int, index: int) -> np.random.Generator:
+    """Counter-based stream keyed by split_seed(seed, index)."""
+    return np.random.Generator(np.random.Philox(key=split_seed(seed, index)))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -204,13 +207,11 @@ class GramMatrix:
             counts = np.array(obj["counts"])
         except ValueError as exc:  # ragged rows
             raise ParameterError(f"counts is not an m x m array: {exc}") from None
-        if counts.shape != (m, m) or counts.dtype.kind not in "iu":
-            raise ParameterError(f"counts must be {m} x {m} integers, got shape "
-                                 f"{counts.shape} of dtype {counts.dtype}")
-        if counts.min() < 0 or not np.array_equal(counts, counts.T):
-            raise ParameterError("counts must be non-negative and symmetric")
-        if not np.array_equal(counts > 0, M.dense() > 0):
-            raise ParameterError("counts must be positive exactly where the Boolean entry is 1")
+        if (counts.shape != (m, m) or counts.dtype.kind not in "iu" or counts.min() < 0
+                or not np.array_equal(counts, counts.T)
+                or not np.array_equal(counts > 0, M.dense() > 0)):
+            raise ParameterError(f"counts must be a symmetric {m} x {m} array of non-negative "
+                                 "integers, positive exactly where the Boolean entry is 1")
         return cls(m=m, bits=bits, counts=counts)
 
     def to_csv(self, path, arithmetic: str = "boolean") -> None:
@@ -235,12 +236,17 @@ def sample_k_subset(rng: np.random.Generator, r: int, k: int) -> tuple:
 def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
     """Rows drawn i.i.d. uniformly from the C(r, k) size-k subsets.
 
-    Row i uses its own counter-based stream keyed by ``seed ^ i``, so
-    generation is reproducible regardless of evaluation order.
+    Floyd's algorithm (as in sample_k_subset) on all m rows at once, from
+    one stream per instance: step s draws column s of every row uniformly
+    from [0, r-k+s] and replaces a value the row already holds by r-k+s.
+    Working memory is O(m k).
     """
     if k < 1 or r < 1 or m < 1 or k > r:
         raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
-    rows = [sample_k_subset(_rng(split_seed(seed, i)), r, k) for i in range(m)]
+    rows = _rng(seed, 0x5e1ec7).integers(0, np.arange(r - k + 1, r + 1), size=(m, k))
+    for s in range(1, k):
+        taken = np.any(rows[:, :s] == rows[:, s, None], axis=1)
+        rows[taken, s] = r - k + s
     return SelectionMatrix(m=m, r=r, k=k, rows=rows)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DegeneracyError, DimensionError, ExtensionError,
                      ParameterError, RankDeficiencyError, RoundingError,
                      SsbmfError)
-from .instance import GramMatrix, SelectionMatrix, factorization_error, split_seed
+from .instance import GramMatrix, SelectionMatrix, _rng, factorization_error
 from .mu import MuTable, mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
@@ -223,8 +223,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
             n0 = config.anchors or min(m, max(4 * r, r + 16))
             if n0 < r:
                 raise ParameterError(f"anchor count {n0} below r={r}")
-            rng = np.random.Generator(
-                np.random.Philox(key=split_seed(config.seed, 0x5eed)))
+            rng = _rng(config.seed, 0x5eed)
             indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
         else:
             raise ParameterError(f"unknown mode {config.mode!r}")

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .instance import SelectionMatrix, gen_selection_matrix, sample_k_subset, split_seed
+from .instance import (SelectionMatrix, _rng, gen_selection_matrix, sample_k_subset,
+                       split_seed)
 
 # Fixed pool of 31-bit primes: products of two residues fit in int64, which
 # keeps the modular elimination fully vectorized.
@@ -129,8 +130,7 @@ def rank_report(W: SelectionMatrix, primes=(), seed: int = 0) -> RankReport:
     dense = W.dense()
     f2 = rank_f2(W)
     modq = {int(q): rank_modp(dense, int(q)) for q in primes}
-    rng = np.random.Generator(np.random.Philox(key=split_seed(seed, 0xfa11)))
-    picks = rng.choice(len(_PRIME_POOL), size=3, replace=False)
+    picks = _rng(seed, 0xfa11).choice(len(_PRIME_POOL), size=3, replace=False)
     real = max(rank_modp(dense, _PRIME_POOL[int(i)]) for i in picks)
     notes = [f"modular primes: {[_PRIME_POOL[int(i)] for i in picks]}"]
     if real < min(W.m, W.r) and W.r <= 200:
@@ -159,8 +159,10 @@ def singularity_experiment(m: int, r: int, k: int, trials: int,
     full = min(m, r)
     hits = {"f2": 0, "real": 0}
     for t in range(trials):
-        W = gen_selection_matrix(m, r, k, split_seed(seed, t * 0x9e3779b9))
-        report = rank_report(W, seed=split_seed(seed, t))
+        # gen and rank_report draw from different child streams of this seed
+        trial_seed = split_seed(seed, t)
+        W = gen_selection_matrix(m, r, k, trial_seed)
+        report = rank_report(W, seed=trial_seed)
         hits["f2"] += report.rank_f2 == full
         hits["real"] += report.rank_real == full
     out = {"m": m, "r": r, "k": k, "trials": trials}
@@ -210,7 +212,7 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
     x = np.asarray(x)
     if x.shape != (r,):
         raise ParameterError(f"expected a length-{r} vector")
-    rng = np.random.Generator(np.random.Philox(key=split_seed(seed, 0xa7c0)))
+    rng = _rng(seed, 0xa7c0)
     counts = {}
     for _ in range(samples):
         sup = sample_k_subset(rng, r, k)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ssbmf import (DimensionError, ParameterError, SelectionMatrix,
                    factorization_error, gen_selection_matrix, gram,
-                   invert_fraction, mu_table, zero_cooccurrence)
+                   invert_fraction, mu_table, split_seed, zero_cooccurrence)
 from ssbmf.cli import main
 from ssbmf.instance import GramMatrix
 from ssbmf.mu import union_block
@@ -48,6 +49,33 @@ def test_generation_uniform_chi_square():
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     dof = 44
     assert stat <= dof + 5 * np.sqrt(2 * dof)
+
+
+def test_generation_uniform_chi_square_k4():
+    # every Floyd fix-up step (columns 1..3) is exercised; 35 supports
+    from itertools import combinations
+    W = gen_selection_matrix(3500, 7, 4, seed=8)
+    counts = {s: 0 for s in combinations(range(7), 4)}
+    for row in W.rows:
+        counts[row] += 1
+    stat = sum((c - 100) ** 2 / 100 for c in counts.values())
+    assert stat <= 34 + 5 * np.sqrt(2 * 34)
+
+
+def test_seeds_give_independent_instances():
+    # README instance size; seed 1 must not reuse seed 0's rows in another order
+    W0, W1 = (gen_selection_matrix(13302, 16, 3, seed=s) for s in (0, 1))
+    assert Counter(W0.rows) != Counter(W1.rows)
+    same = np.all(W0.support == W1.support, axis=1).mean()
+    assert same < 0.01  # 1/560 expected for independent rows
+
+
+def test_split_seed_distinct_including_nested():
+    keys = {split_seed(s, i) for s in range(64) for i in range(64)}
+    assert len(keys) == 64 * 64
+    nested = {split_seed(split_seed(5, t), 0xfa11) for t in range(256)}
+    assert len(nested) == 256
+    assert split_seed(5, 1) != split_seed(5 + (1 << 64), 1)
 
 
 def test_parameter_errors():
