@@ -66,7 +66,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_attack(args) -> int:
     M = GramMatrix.from_json(load_json(args.gram))
-    config = RecoverConfig(mode=args.mode, anchors=args.anchors, seed=args.seed)
+    config = RecoverConfig(anchors=args.anchors, seed=args.seed)
     start = time.perf_counter()
     result = tensor_recover(M, args.r, args.k, config)
     elapsed = time.perf_counter() - start
@@ -84,7 +84,7 @@ def _cmd_recover(args) -> int:
     Z = np.loadtxt(args.synthetic, delimiter=",", ndmin=2)
     synthetic = SyntheticDataset(Z=Z)
     cfg = HeavyRecoveryConfig(eta=args.eta, c_heavy=args.c_heavy)
-    config = RecoverConfig(mode=args.mode, anchors=args.anchors, seed=args.seed)
+    config = RecoverConfig(anchors=args.anchors, seed=args.seed)
     dataset, report = recover_dataset(M, synthetic, args.r, args.k, cfg, config)
     if dataset is not None and args.out:
         dataset.to_csv(args.out)
@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gram", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["full", "anchored"], default="anchored")
-    p.add_argument("--anchors", type=int, default=None)
+    p.add_argument("--anchors", type=int, default=None, help="anchor rows; m uses all rows")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--w-out", default=None)
@@ -201,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eta", type=float, default=0.25)
     p.add_argument("--c-heavy", type=float, default=6.0)
-    p.add_argument("--mode", choices=["full", "anchored"], default="anchored")
-    p.add_argument("--anchors", type=int, default=None)
+    p.add_argument("--anchors", type=int, default=None, help="anchor rows; m uses all rows")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recover)

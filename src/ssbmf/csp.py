@@ -2,10 +2,11 @@
 Max 2-CSP over the alphabet of k-sparse indicator vectors, with exact
 enumeration and local-search solvers at desk scale.
 
-Alphabet letters are addressed by colexicographic rank so the C(r, k)
-vectors are never materialized.  Constraints live only on u < v (symmetric)
-or on the complete bipartite graph (asymmetric); the diagonal is forced and
-therefore omitted, so objective identities use off-diagonal counts.
+Alphabet letters are addressed by colexicographic rank; a solve builds the
+C(r, k) x r 0/1 letter matrix once.  Constraints live only on u < v
+(symmetric) or on the complete bipartite graph (asymmetric), which is solved
+as the symmetric instance on both sides; the diagonal is forced and therefore
+omitted, so objective identities use off-diagonal counts.
 """
 
 from __future__ import annotations
@@ -108,31 +109,40 @@ def reduce_asymmetric(M, r: int, k: int) -> CspInstance:
                        m=targets.shape[0], targets=targets)
 
 
-def _letters(inst: CspInstance, sigma):
-    letters = []
-    for rank in sigma:
-        if not 0 <= rank < inst.alphabet_size:
-            raise ParameterError(f"letter rank {rank} outside the alphabet")
-        letters.append(frozenset(unrank_subset(rank, inst.r, inst.k)))
-    return letters
+def _symmetric_view(inst: CspInstance):
+    """inst as a symmetric instance on its n_vertices vertices: the C(r, k) x r
+    0/1 letter matrix by rank, the n x n targets and the n x n adjacency (a
+    bipartite instance joins each side to the other)."""
+    q, n, m = inst.alphabet_size, inst.n_vertices, inst.m
+    ranks = [unrank_subset(t, inst.r, inst.k) for t in range(q)]
+    alphabet = SelectionMatrix(m=q, r=inst.r, k=inst.k, rows=ranks).dense().astype(np.int64)
+    if not inst.bipartite:
+        return alphabet, inst.targets, ~np.eye(n, dtype=bool)
+    targets = np.zeros((n, n), dtype=np.int64)
+    targets[:m, m:], targets[m:, :m] = inst.targets, inst.targets.T
+    side = np.arange(n) < m
+    return alphabet, targets, side[:, None] != side[None, :]
 
 
-def _satisfied(inst: CspInstance, lu, lv, target) -> bool:
-    inner = len(lu & lv)
-    if inst.mode == "boolean":
-        return (inner > 0) == (target > 0)
-    return inner == target
+def _satisfies(inst: CspInstance, letters, neighbours, targets) -> np.ndarray:
+    """Whether each letter row meets the target against each neighbour row."""
+    inner = letters @ neighbours.T
+    return (inner > 0) == (targets > 0) if inst.mode == "boolean" else inner == targets
+
+
+def _evaluate(inst: CspInstance, view, sigma) -> int:
+    alphabet, targets, adjacency = view
+    sigma = np.asarray(sigma)
+    if sigma.shape != (len(targets),) or sigma.min() < 0 or sigma.max() >= len(alphabet):
+        raise ParameterError(f"assignment {sigma.tolist()} is not {len(targets)} letter "
+                             f"ranks in [0, {len(alphabet)})")
+    letters = alphabet[sigma]
+    return int((_satisfies(inst, letters, letters, targets) & adjacency).sum()) // 2
 
 
 def evaluate(inst: CspInstance, sigma) -> int:
     """Number of satisfied edges under the assignment (ranks per vertex)."""
-    letters = _letters(inst, sigma)
-    if inst.bipartite:
-        left, right = letters[: inst.m], letters[inst.m:]
-        return int(sum(_satisfied(inst, left[u], right[v], inst.targets[u, v])
-                       for u, v in inst.edges()))
-    return int(sum(_satisfied(inst, letters[u], letters[v], inst.targets[u, v])
-                   for u, v in inst.edges()))
+    return _evaluate(inst, _symmetric_view(inst), sigma)
 
 
 def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
@@ -140,69 +150,42 @@ def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
     q, n = inst.alphabet_size, inst.n_vertices
     if q ** n > budget:
         raise BudgetExceededError(f"{q}^{n} assignments exceed budget {budget}")
+    view = _symmetric_view(inst)
     best_sigma, best_value = None, -1
     for sigma in itertools.product(range(q), repeat=n):
-        value = evaluate(inst, sigma)
+        value = _evaluate(inst, view, sigma)
         if value > best_value:
             best_sigma, best_value = sigma, value
     return Assignment(sigma=best_sigma, value=best_value)
-
-
-def _vertex_value(inst, letters, v, letter):
-    """Satisfied edges incident to vertex v if it takes the given letter."""
-    total = 0
-    if inst.bipartite:
-        if v < inst.m:
-            for u in range(inst.m):
-                total += _satisfied(inst, letter, letters[inst.m + u],
-                                    inst.targets[v, u])
-        else:
-            for u in range(inst.m):
-                total += _satisfied(inst, letters[u], letter,
-                                    inst.targets[u, v - inst.m])
-    else:
-        for u in range(inst.m):
-            if u != v:
-                tgt = inst.targets[min(u, v), max(u, v)]
-                total += _satisfied(inst, letter, letters[u], tgt)
-    return int(total)
 
 
 def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
                 seed: int = 0) -> Assignment:
     """Random restarts + best-improvement single-vertex moves.
 
-    Each move rescans the full alphabet for one vertex; ties break toward
+    Each move scores the full alphabet for one vertex; ties break toward
     the lowest rank for determinism.
     """
     q, n = inst.alphabet_size, inst.n_vertices
-    all_letters = [frozenset(unrank_subset(t, inst.r, inst.k)) for t in range(q)]
+    view = alphabet, targets, adjacency = _symmetric_view(inst)
     best = None
     for restart in range(max(1, restarts)):
-        sigma = [int(x) for x in _rng(seed, restart).integers(0, q, size=n)]
-        letters = [all_letters[t] for t in sigma]
-        value = evaluate(inst, sigma)
+        sigma = _rng(seed, restart).integers(0, q, size=n)
+        value = _evaluate(inst, view, sigma)
         for _ in range(iters):
             improved = False
             for v in range(n):
-                current = _vertex_value(inst, letters, v, letters[v])
-                best_rank, best_gain = sigma[v], 0
-                for t in range(q):
-                    if t == sigma[v]:
-                        continue
-                    gain = _vertex_value(inst, letters, v, all_letters[t]) - current
-                    if gain > best_gain or (gain == best_gain and gain > 0
-                                            and t < best_rank):
-                        best_rank, best_gain = t, gain
-                if best_gain > 0:
-                    value += best_gain
-                    sigma[v] = best_rank
-                    letters[v] = all_letters[best_rank]
+                scores = (_satisfies(inst, alphabet, alphabet[sigma], targets[v])
+                          & adjacency[v]).sum(axis=1)
+                t = int(np.argmax(scores))
+                if scores[t] > scores[sigma[v]]:
+                    value += int(scores[t] - scores[sigma[v]])
+                    sigma[v] = t
                     improved = True
             if not improved:
                 break
         if best is None or value > best.value:
-            best = Assignment(sigma=tuple(sigma), value=value)
+            best = Assignment(sigma=tuple(sigma.tolist()), value=value)
     return best
 
 

@@ -51,6 +51,13 @@ def _json_ints(obj, *keys) -> list:
     return values
 
 
+def _holds_bool(rows) -> bool:
+    """Whether a nested sequence of integer rows holds a bool, which np.array
+    would silently turn into 0 or 1 (an ndarray of integers holds none)."""
+    return not isinstance(rows, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for row in rows for x in row)
+
+
 def split_seed(seed: int, index: int) -> int:
     """Seed of child stream ``index`` of ``seed``: a 128-bit hash of both
     integers, so distinct (seed, index) pairs, nested splits included, give
@@ -70,7 +77,8 @@ class SelectionMatrix:
 
     ``support`` is the one stored form: a read-only (m, k) integer array
     whose row a holds the columns of row a in increasing order.  The
-    constructor takes any (m, k) array-like of k-subsets of [0, r).
+    constructor takes any (m, k) array-like of k-subsets of [0, r); bools
+    are not indices, even mixed with integers.
     """
 
     m: int
@@ -87,9 +95,9 @@ class SelectionMatrix:
             raise ParameterError(f"rows are not {k}-subsets: {exc}") from None
         if support.ndim != 2 or len(support) != m:
             raise DimensionError(f"expected {m} rows of {k} indices, got shape {support.shape}")
-        if support.shape[1] != k or support.dtype.kind not in "iu":
-            raise ParameterError(f"rows must hold {k} integers, got {support.shape[1]} "
-                                 f"of dtype {support.dtype}")
+        if support.shape[1] != k or support.dtype.kind not in "iu" or _holds_bool(rows):
+            raise ParameterError(f"rows must hold {k} integers (not bools), got "
+                                 f"{support.shape[1]} of dtype {support.dtype}")
         support = np.sort(support, axis=1).astype(np.intp)
         bad = (support[:, 0] < 0) | (support[:, -1] >= r) | np.any(
             support[:, 1:] == support[:, :-1], axis=1)
@@ -207,7 +215,8 @@ class GramMatrix:
             counts = np.array(obj["counts"])
         except ValueError as exc:  # ragged rows
             raise ParameterError(f"counts is not an m x m array: {exc}") from None
-        if (counts.shape != (m, m) or counts.dtype.kind not in "iu" or counts.min() < 0
+        if (counts.shape != (m, m) or counts.dtype.kind not in "iu"
+                or _holds_bool(obj["counts"]) or counts.min() < 0
                 or not np.array_equal(counts, counts.T)
                 or not np.array_equal(counts > 0, M.dense() > 0)):
             raise ParameterError(f"counts must be a symmetric {m} x {m} array of non-negative "
@@ -233,21 +242,26 @@ def sample_k_subset(rng: np.random.Generator, r: int, k: int) -> tuple:
     return tuple(sorted(chosen))
 
 
-def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
-    """Rows drawn i.i.d. uniformly from the C(r, k) size-k subsets.
+def _floyd_subsets(rng: np.random.Generator, n: int, r: int, k: int) -> np.ndarray:
+    """n uniform k-subsets of [0, r) as an unsorted (n, k) array.
 
-    Floyd's algorithm (as in sample_k_subset) on all m rows at once, from
-    one stream per instance: step s draws column s of every row uniformly
-    from [0, r-k+s] and replaces a value the row already holds by r-k+s.
-    Working memory is O(m k).
+    Floyd's algorithm (as in sample_k_subset) on all n rows at once: step s
+    draws column s of every row uniformly from [0, r-k+s] and replaces a
+    value the row already holds by r-k+s.  Working memory is O(n k).
     """
-    if k < 1 or r < 1 or m < 1 or k > r:
-        raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
-    rows = _rng(seed, 0x5e1ec7).integers(0, np.arange(r - k + 1, r + 1), size=(m, k))
+    rows = rng.integers(0, np.arange(r - k + 1, r + 1), size=(n, k))
     for s in range(1, k):
         taken = np.any(rows[:, :s] == rows[:, s, None], axis=1)
         rows[taken, s] = r - k + s
-    return SelectionMatrix(m=m, r=r, k=k, rows=rows)
+    return rows
+
+
+def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
+    """Rows drawn i.i.d. uniformly from the C(r, k) size-k subsets, all from
+    one stream per instance."""
+    if k < 1 or r < 1 or m < 1 or k > r:
+        raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
+    return SelectionMatrix(m=m, r=r, k=k, rows=_floyd_subsets(_rng(seed, 0x5e1ec7), m, r, k))
 
 
 def _gram_rows(W: SelectionMatrix):

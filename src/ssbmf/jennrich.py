@@ -23,17 +23,16 @@ from .instance import GramMatrix, SelectionMatrix, _rng, factorization_error
 from .mu import MuTable, mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
+SV_CUTOFF = 1e-8  # relative singular value below which a contraction direction is noise
+GAP_TOL = 1e-6  # relative eigen-gap below which eigenvectors are not determined
+RETRIES = 5  # random contraction pairs tried before a collision is reported
+ROUND_TOL = 0.25  # a scaled entry this far from {0, 1} was not recovered
+
 
 @dataclass
 class RecoverConfig:
-    mode: str = "anchored"           # "anchored", or "full" = all m rows as anchors
-    anchors: int = None              # default min(m, max(4r, r + 16))
+    anchors: int = None  # default min(m, max(4r, r + 16)); m means all rows
     seed: int = 0
-    round_tol: float = 0.25
-    sv_cutoff: float = 1e-8
-    gap_tol: float = 1e-6
-    retries: int = 5
-    clamp: bool = False
 
 
 @dataclass
@@ -58,8 +57,7 @@ class RecoveredFactors:
 
 
 def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
-                       sv_cutoff: float = 1e-8, gap_tol: float = 1e-6,
-                       retries: int = 5, diagnostics: dict = None):
+                       diagnostics: dict = None):
     """Recover the rank-one components of T = sum_i w_i^(x3).
 
     Returns r unit-normalized vectors, each a scalar multiple of one w_i,
@@ -74,7 +72,7 @@ def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
         raise ParameterError(f"r={r} exceeds tensor dimension {n}")
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
     last_gap = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         v1 = rng.normal(size=n)
         v1 /= np.linalg.norm(v1)
         v2 = rng.normal(size=n)
@@ -82,7 +80,7 @@ def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
         M1 = contract(T, v1)
         M2 = contract(T, v2)
         U, s, _ = np.linalg.svd(M1)
-        rank = int(np.sum(s > sv_cutoff * s[0])) if s[0] > 0 else 0
+        rank = int(np.sum(s > SV_CUTOFF * s[0])) if s[0] > 0 else 0
         if rank < r:
             raise RankDeficiencyError(
                 f"contraction has numerical rank {rank} < r={r}")
@@ -90,15 +88,15 @@ def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
         A1 = U.T @ M1 @ U
         A2 = U.T @ M2 @ U
         u2, s2, vt2 = np.linalg.svd(A2)
-        inv2 = vt2.T @ np.diag(np.where(s2 > sv_cutoff * s2[0], 1.0 / s2, 0.0)) @ u2.T
+        inv2 = vt2.T @ np.diag(np.where(s2 > SV_CUTOFF * s2[0], 1.0 / s2, 0.0)) @ u2.T
         evals, evecs = np.linalg.eig(A1 @ inv2)
         scale = np.max(np.abs(evals))
         gaps = np.abs(evals[:, None] - evals[None, :])
         np.fill_diagonal(gaps, np.inf)
         last_gap = float(gaps.min())
-        if scale == 0 or last_gap < gap_tol * scale:
+        if scale == 0 or last_gap < GAP_TOL * scale:
             continue
-        if np.max(np.abs(evals.imag)) > gap_tol * scale:
+        if np.max(np.abs(evals.imag)) > GAP_TOL * scale:
             continue
         if diagnostics is not None:
             diagnostics["retries"] = attempt
@@ -112,10 +110,10 @@ def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
             vectors.append(w / nrm)
         return vectors
     raise DegeneracyError(
-        f"eigenvalue gap {last_gap} below tolerance after {retries} retries")
+        f"eigenvalue gap {last_gap} below tolerance after {RETRIES} retries")
 
 
-def round_boolean(v, tol: float = 0.25) -> np.ndarray:
+def round_boolean(v) -> np.ndarray:
     """Scale by the signed entry of largest magnitude, then snap to {0,1}."""
     v = np.asarray(v, dtype=float)
     if not np.any(v):
@@ -124,7 +122,7 @@ def round_boolean(v, tol: float = 0.25) -> np.ndarray:
     scaled = v / pivot
     margins = np.minimum(np.abs(scaled), np.abs(scaled - 1.0))
     worst = int(np.argmax(margins))
-    if margins[worst] > tol:
+    if margins[worst] > ROUND_TOL:
         raise RoundingError(worst, float(margins[worst]))
     return (scaled > 0.5).astype(np.int8)
 
@@ -213,28 +211,18 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     if r < 1 or k < 1 or k > r:
         raise ParameterError(f"invalid r={r}, k={k}")
     m = M.m
+    n0 = min(m, max(4 * r, r + 16)) if config.anchors is None else config.anchors
+    if not r <= n0 <= m:
+        raise ParameterError(f"anchor count {n0} outside [r={r}, m={m}]")
     start = time.perf_counter()
     diagnostics = {}
     table = mu_table(r, k)
     try:
-        if config.mode == "full":
-            indices = list(range(m))
-        elif config.mode == "anchored":
-            n0 = config.anchors or min(m, max(4 * r, r + 16))
-            if n0 < r:
-                raise ParameterError(f"anchor count {n0} below r={r}")
-            rng = _rng(config.seed, 0x5eed)
-            indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
-        else:
-            raise ParameterError(f"unknown mode {config.mode!r}")
-        T = build_tensor(M, r, k, mode="anchored", anchors=indices,
-                         table=table, clamp=config.clamp)
-
-        vectors = jennrich_decompose(
-            T, r, seed=config.seed, sv_cutoff=config.sv_cutoff,
-            gap_tol=config.gap_tol, retries=config.retries,
-            diagnostics=diagnostics)
-        columns = [round_boolean(v, tol=config.round_tol) for v in vectors]
+        rng = _rng(config.seed, 0x5eed)
+        indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
+        T = build_tensor(M, r, k, anchors=indices, table=table)
+        vectors = jennrich_decompose(T, r, seed=config.seed, diagnostics=diagnostics)
+        columns = [round_boolean(v) for v in vectors]
         W_hat = extend_from_anchors(np.stack(columns, axis=1), indices, M, table, k)
     except SsbmfError as exc:
         if isinstance(exc, (ParameterError, DimensionError)):

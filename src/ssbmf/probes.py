@@ -17,8 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .instance import (SelectionMatrix, _rng, gen_selection_matrix, sample_k_subset,
-                       split_seed)
+from .instance import SelectionMatrix, _floyd_subsets, _rng, gen_selection_matrix, split_seed
 
 # Fixed pool of 31-bit primes: products of two residues fit in int64, which
 # keeps the modular elimination fully vectorized.
@@ -212,17 +211,9 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
     x = np.asarray(x)
     if x.shape != (r,):
         raise ParameterError(f"expected a length-{r} vector")
-    rng = _rng(seed, 0xa7c0)
-    counts = {}
-    for _ in range(samples):
-        sup = sample_k_subset(rng, r, k)
-        val = x[list(sup)].sum()
-        if q != "real":
-            val = int(val) % int(q)
-        else:
-            val = round(float(val), 12)
-        counts[val] = counts.get(val, 0) + 1
-    max_atom = max(counts.values()) / samples
+    sums = x[_floyd_subsets(_rng(seed, 0xa7c0), samples, r, k)].sum(axis=1)
+    values = np.round(sums.astype(float), 12) if q == "real" else sums.astype(np.int64) % int(q)
+    max_atom = int(np.unique(values, return_counts=True)[1].max()) / samples
     largest_fibre, _ = fibre_stats(x.tolist())
     s = r - largest_fibre
     envelope = (envelope_const * math.sqrt(r / (s * k))) if s > 0 else 1.0

@@ -58,8 +58,7 @@ def test_criterion_02_end_to_end_recovery():
         start = time.perf_counter()
         W = gen_selection_matrix(m, r, k, seed=seed)
         M = gram(W)
-        res = tensor_recover(M, r, k, RecoverConfig(mode="anchored",
-                                                    anchors=64, seed=seed))
+        res = tensor_recover(M, r, k, RecoverConfig(anchors=64, seed=seed))
         ok = res.success and res.residual == 0
         if ok:
             permutation, unmatched = match_columns(res.W_hat, W)

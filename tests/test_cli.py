@@ -17,7 +17,7 @@ def test_gen_gram_attack_roundtrip(tmp_path, capsys):
                  "--seed", "3", "--out", str(w_path)]) == 0
     assert main(["gram", "--in", str(w_path), "--out", str(g_path)]) == 0
     assert main(["attack", "--gram", str(g_path), "--r", "8", "--k", "2",
-                 "--mode", "anchored", "--anchors", "40", "--seed", "3",
+                 "--anchors", "40", "--seed", "3",
                  "--out", str(rep_path)]) == 0
     report = json.loads(rep_path.read_text())
     assert report["success"] is True and report["residual"] == 0
@@ -32,7 +32,7 @@ def test_attack_failure_exit_code(tmp_path):
     hex_rows = [format((1 << m) - 1, "016x")] * m
     g_path.write_text(json.dumps({"m": m, "hex_rows": hex_rows}))
     code = main(["attack", "--gram", str(g_path), "--r", "8", "--k", "2",
-                 "--mode", "full"])
+                 "--anchors", str(m)])
     assert code == 3
 
 
@@ -88,6 +88,7 @@ def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
         [[0, 1, 0, 1]] + good[1:],                                  # zero where the bit is 1
         [[2, 1, 1, 1], [1, 2, 1, 0], [1, 1, 2, 1], [1, 0, 1, 2]],   # positive where it is 0
         [[2.5, 1, 0, 1]] + good[1:],                                # not integers
+        [[2, 1, 0, True]] + good[1:],                               # a bool
         good[:3],                                                   # 3 x 4
         [[2, 1, 0]] + good[1:],                                     # ragged
         "22",

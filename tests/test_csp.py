@@ -83,6 +83,13 @@ def test_evaluate_counts_violations():
     assert residual == 2 * (inst.n_edges - value)
 
 
+def test_evaluate_rejects_out_of_range_ranks():
+    _, inst = planted_instance()
+    for sigma in ((0, 1, 2, 6), (0, 1, 2, -1), (0, 1, 2)):
+        with pytest.raises(ParameterError):
+            evaluate(inst, sigma)
+
+
 def test_identity_exhaustive_small():
     # off-diagonal L0 = 2 (|E| - value) for every assignment
     W, inst = planted_instance()

@@ -98,6 +98,7 @@ def test_dense_and_gram_at_edges(m, r, k):
 @pytest.mark.parametrize("rows", [
     [[0, 1.5]],          # a float entry is not truncated to 1
     [[True, False]],     # bool entries are not indices
+    [[0, True]],         # nor mixed with integers
     [[0]],               # short row
     [[0, 1], [2]],       # ragged
     [[1, 1]],            # repeated index

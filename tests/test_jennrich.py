@@ -140,8 +140,7 @@ def test_match_columns_reports_unmatched():
 def test_tensor_recover_end_to_end_small():
     W = gen_selection_matrix(3905, 8, 2, seed=3)
     M = gram(W)
-    res = tensor_recover(M, 8, 2, RecoverConfig(mode="anchored", anchors=40,
-                                                seed=3))
+    res = tensor_recover(M, 8, 2, RecoverConfig(anchors=40, seed=3))
     assert res.success and res.residual == 0
     perm, unmatched = match_columns(res.W_hat, W)
     assert unmatched is None
@@ -151,7 +150,7 @@ def test_tensor_recover_failure_flag_on_garbage():
     # all-ones Gram matrix is inconsistent with any k-sparse factorization
     m = 64
     M = GramMatrix.from_json({"m": m, "hex_rows": [format((1 << m) - 1, "x")] * m})
-    res = tensor_recover(M, 8, 2, RecoverConfig(mode="full"))
+    res = tensor_recover(M, 8, 2, RecoverConfig(anchors=m))
     assert not res.success
     assert res.W_hat is None
     assert res.failure
@@ -161,15 +160,15 @@ def test_tensor_recover_parameter_errors_raise():
     M = gram(gen_selection_matrix(20, 6, 2, seed=0))
     with pytest.raises(ParameterError):
         tensor_recover(M, 6, 9)
-    with pytest.raises(ParameterError):
-        tensor_recover(M, 6, 2, RecoverConfig(mode="spiral"))
+    for anchors in (0, M.m + 1):
+        with pytest.raises(ParameterError):
+            tensor_recover(M, 6, 2, RecoverConfig(anchors=anchors))
 
 
 def test_recovered_report_shape():
     W = gen_selection_matrix(3905, 8, 2, seed=5)
     M = gram(W)
-    res = tensor_recover(M, 8, 2, RecoverConfig(mode="anchored", anchors=40,
-                                                seed=5))
+    res = tensor_recover(M, 8, 2, RecoverConfig(anchors=40, seed=5))
     report = res.report(include_timing=False)
     assert report["success"] is True
     assert report["residual"] == 0

@@ -164,8 +164,7 @@ def test_recover_dataset_end_to_end():
     m = 3905
     syn, M = gen_instahide(Dataset(X=X), m=m, k=k, seed=11)
     dataset, report = recover_dataset(
-        M, syn, r, k, recover_config=RecoverConfig(mode="anchored", anchors=40,
-                                                   seed=11))
+        M, syn, r, k, recover_config=RecoverConfig(anchors=40, seed=11))
     assert report["success"]
     # recovered W may be column-permuted; compare sorted magnitude estimates
     for j in range(d):
@@ -182,7 +181,7 @@ def test_recover_dataset_failure_passthrough():
     M = GramMatrix.from_json({"m": m, "hex_rows": [format((1 << m) - 1, "x")] * m})
     syn = SyntheticDataset(Z=np.zeros((m, 2)))
     dataset, report = recover_dataset(M, syn, 8, 2,
-                                      recover_config=RecoverConfig(mode="full"))
+                                      recover_config=RecoverConfig(anchors=m))
     assert dataset is None and not report["success"]
 
 

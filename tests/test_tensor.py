@@ -54,7 +54,7 @@ def test_build_full_population_exact():
     r, k = 8, 2
     W = all_subsets_matrix(r, k)
     M = gram(W)
-    T = build_tensor(M, r, k, mode="full")
+    T = build_tensor(M, r, k, anchors=range(W.m))
     O = oracle_tensor(W)
     n = W.m
     for a in range(n):
@@ -68,7 +68,7 @@ def test_build_lazy_matches_full():
     W = all_subsets_matrix(r, k)
     M = gram(W)
     table = mu_table(r, k)
-    full = build_tensor(M, r, k, mode="full", table=table)
+    full = build_tensor(M, r, k, anchors=range(W.m), table=table)
     lazy = build_tensor(M, r, k, mode="lazy", table=table)
     for a in (0, 3, 9):
         for b in (1, 5, 14):
@@ -80,25 +80,24 @@ def test_build_anchored_matches_oracle_large_m():
     W = gen_selection_matrix(4000, 10, 2, seed=8)
     M = gram(W)
     anchors = list(range(12))
-    T = build_tensor(M, 10, 2, mode="anchored", anchors=anchors)
+    T = build_tensor(M, 10, 2, anchors=anchors)
     O = oracle_tensor(W)
     for a in anchors:
         for b in anchors:
             for c in anchors:
                 assert T.entry(a, b, c) == O.entry(a, b, c)
-    assert T.metadata()["mode"] == "anchored"
-    assert T.metadata()["anchors"] == anchors
+    assert T.indices == tuple(anchors)
 
 
 def test_anchored_entry_outside_block_falls_back():
     W = gen_selection_matrix(4000, 10, 2, seed=8)
     M = gram(W)
-    T = build_tensor(M, 10, 2, mode="anchored", anchors=[0, 1, 2, 3])
+    T = build_tensor(M, 10, 2, anchors=[0, 1, 2, 3])
     O = oracle_tensor(W)
     assert T.entry(0, 1, 100) == O.entry(0, 1, 100)
 
 
-def test_inconsistency_raised_and_clamped():
+def test_inconsistency_raised():
     # all-ones Gram matrix: zero co-occurrence counts are all 0, so every
     # union inverts to t_max and inclusion-exclusion leaves the range {0..k}
     m, r, k = 6, 10, 2
@@ -106,10 +105,7 @@ def test_inconsistency_raised_and_clamped():
     from ssbmf.instance import GramMatrix
     M = GramMatrix.from_json({"m": m, "hex_rows": [format(full, "x")] * m})
     with pytest.raises(InconsistencyError):
-        build_tensor(M, r, k, mode="full")
-    T = build_tensor(M, r, k, mode="full", clamp=True)
-    vals = T.block
-    assert vals.min() >= 0 and vals.max() <= k
+        build_tensor(M, r, k, anchors=range(m))
 
 
 def test_contract_basis_vectors():
