@@ -157,6 +157,10 @@ def _cmd_bench(args) -> int:
     timings["verify_seconds"] = time.perf_counter() - start
     timings["suggested_m"] = required_sample_size(
         args.r, args.k, 3 * args.k, 0.1)
+    result = tensor_recover(M, args.r, args.k, RecoverConfig(seed=args.seed))
+    timings["recover_success"] = result.success
+    for stage, seconds in result.diagnostics["stages"].items():
+        timings[f"recover_{stage}_seconds"] = seconds
     print(json.dumps({k: (round(v, 4) if isinstance(v, float) else v)
                       for k, v in timings.items()}, sort_keys=True))
     return EXIT_OK
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("bench", help="timing of the core kernels")
+    p = sub.add_parser("bench", help="timing of the core kernels and of each recovery stage")
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--r", type=int, default=12)
     p.add_argument("--k", type=int, default=2)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError
 from .instance import GramMatrix, SelectionMatrix, _rng
 
+_EXACT_BLOCK = 1 << 18  # edge-assignment pairs scored per block by solve_exact
+
 
 def rank_subset(subset) -> int:
     """Colexicographic rank of a sorted k-subset."""
@@ -146,16 +148,27 @@ def evaluate(inst: CspInstance, sigma) -> int:
 
 
 def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
-    """Globally optimal assignment by enumeration of all q^n assignments."""
+    """Globally optimal assignment by enumeration of all q^n assignments.
+
+    Assignments are scored in blocks of consecutive integers, unravelled to
+    rank arrays in itertools.product order; each edge adds its q x q
+    satisfaction table at the two ranks.  The first maximum in that order
+    wins.
+    """
     q, n = inst.alphabet_size, inst.n_vertices
     if q ** n > budget:
         raise BudgetExceededError(f"{q}^{n} assignments exceed budget {budget}")
-    view = _symmetric_view(inst)
+    alphabet, targets, adjacency = _symmetric_view(inst)
+    u, v = np.nonzero(np.triu(adjacency))
+    tables = _satisfies(inst, alphabet, alphabet, targets[u, v][:, None, None]).reshape(-1, q * q)
     best_sigma, best_value = None, -1
-    for sigma in itertools.product(range(q), repeat=n):
-        value = _evaluate(inst, view, sigma)
-        if value > best_value:
-            best_sigma, best_value = sigma, value
+    step = max(1, _EXACT_BLOCK // max(1, len(u)))
+    for lo in range(0, q ** n, step):
+        sigma = np.array(np.unravel_index(np.arange(lo, min(q ** n, lo + step)), (q,) * n))
+        values = np.take_along_axis(tables, sigma[u] * q + sigma[v], axis=1).sum(axis=0)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_sigma, best_value = tuple(sigma[:, i].tolist()), int(values[i])
     return Assignment(sigma=best_sigma, value=best_value)
 
 

@@ -12,6 +12,7 @@ back by U; this is algebraically equivalent on the span.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import (DegeneracyError, DimensionError, ExtensionError,
                      ParameterError, RankDeficiencyError, RoundingError,
                      SsbmfError)
-from .instance import GramMatrix, SelectionMatrix, _rng, factorization_error
+from .instance import (GramMatrix, SelectionMatrix, _rng, _row_classes,
+                       factorization_error)
 from .mu import MuTable, mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
@@ -49,6 +51,7 @@ class RecoveredFactors:
                "retries": self.diagnostics.get("retries", 0)}
         if include_timing and "seconds" in self.diagnostics:
             out["seconds"] = self.diagnostics["seconds"]
+            out["stages"] = dict(self.diagnostics["stages"])
         if self.permutation is not None:
             out["permutation"] = list(self.permutation)
         if self.failure is not None:
@@ -134,7 +137,11 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     For a non-anchor row a, the intersection counts against the anchors are
     c_ab = 2k - |S_a cup S_b| (mu-inverted from M); the row is the rounded
     least-squares solution of (anchor block) x = c, re-checked exactly.
-    A row that fails the k-sparsity or the re-check raises ExtensionError.
+    Rows with equal Gram rows have equal counts, so all of this runs on the
+    first row of each class of equal non-anchor Gram rows (at most C(r, k)
+    classes when M comes from a k-sparse W) and is copied to the rest of the
+    class.  A row that fails the k-sparsity or the re-check raises
+    ExtensionError naming the lowest such row.
     """
     anchor_block = np.asarray(anchor_block, dtype=float)
     n0, r = anchor_block.shape
@@ -150,17 +157,20 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
         a = int(anchor_indices[np.argmin(sparse)])
         raise ExtensionError(f"anchor row {a} is not {k}-sparse")
     others = np.setdiff1d(np.arange(M.m), anchor_indices)
-    counts = 2 * k - union_block(M, table, others, anchor_indices)
+    reps, cls = _row_classes(M.bits, others)
+    counts = 2 * k - union_block(M, table, reps, anchor_indices)
     extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
     sums = extended.sum(axis=1)
     bad = (sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)
     if bad.any():
+        # Representatives are the first rows of their classes, so the first
+        # failing one is the lowest failing row.
         i = int(np.argmax(bad))
         if sums[i] != k:
             raise ExtensionError(
-                f"row {others[i]} rounded to sparsity {int(sums[i])}, expected {k}")
-        raise ExtensionError(f"row {others[i]} fails the intersection re-check")
-    rounded[others] = extended
+                f"row {reps[i]} rounded to sparsity {int(sums[i])}, expected {k}")
+        raise ExtensionError(f"row {reps[i]} fails the intersection re-check")
+    rounded[others] = extended[cls]
     return SelectionMatrix(m=M.m, r=r, k=k, rows=np.nonzero(rounded)[1].reshape(M.m, k))
 
 
@@ -197,6 +207,16 @@ def _column_keys(W: SelectionMatrix):
     return [tuple(dense[:, j].tolist()) for j in range(W.r)]
 
 
+@contextmanager
+def _stage(stages: dict, name: str):
+    """Record the seconds spent in the block as stages[name], also on failure."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = time.perf_counter() - start
+
+
 def tensor_recover(M: GramMatrix, r: int, k: int,
                    config: RecoverConfig = None) -> RecoveredFactors:
     """Full pipeline: bootstrap tensor, decompose, round, extend, verify.
@@ -205,6 +225,8 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     degenerate eigenvalues, rounding, inconsistent tensor entries) are
     reported via the failure flag instead of raising, so a corrupted input
     yields a diagnosable report rather than an exception.
+    ``diagnostics["stages"]`` holds the seconds of each stage that ran, the
+    failing one included.
     """
     if config is None:
         config = RecoverConfig()
@@ -215,15 +237,20 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     if not r <= n0 <= m:
         raise ParameterError(f"anchor count {n0} outside [r={r}, m={m}]")
     start = time.perf_counter()
-    diagnostics = {}
+    stages = {}
+    diagnostics = {"stages": stages}
     table = mu_table(r, k)
     try:
-        rng = _rng(config.seed, 0x5eed)
-        indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
-        T = build_tensor(M, r, k, anchors=indices, table=table)
-        vectors = jennrich_decompose(T, r, seed=config.seed, diagnostics=diagnostics)
-        columns = [round_boolean(v) for v in vectors]
-        W_hat = extend_from_anchors(np.stack(columns, axis=1), indices, M, table, k)
+        with _stage(stages, "bootstrap"):
+            rng = _rng(config.seed, 0x5eed)
+            indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
+            T = build_tensor(M, r, k, anchors=indices, table=table)
+        with _stage(stages, "decompose"):
+            vectors = jennrich_decompose(T, r, seed=config.seed, diagnostics=diagnostics)
+        with _stage(stages, "round"):
+            columns = [round_boolean(v) for v in vectors]
+        with _stage(stages, "extend"):
+            W_hat = extend_from_anchors(np.stack(columns, axis=1), indices, M, table, k)
     except SsbmfError as exc:
         if isinstance(exc, (ParameterError, DimensionError)):
             raise
@@ -231,7 +258,8 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
         return RecoveredFactors(W_hat=None, success=False, residual=-1,
                                 failure=str(exc), diagnostics=diagnostics)
 
-    residual = factorization_error(M, W_hat, "boolean")
+    with _stage(stages, "verify"):
+        residual = factorization_error(M, W_hat, "boolean")
     diagnostics["seconds"] = time.perf_counter() - start
     return RecoveredFactors(W_hat=W_hat, success=residual == 0,
                             residual=residual,

@@ -6,9 +6,11 @@ from mu-inverted union sizes:
     T_abc = t_abc - t_ab - t_ac - t_bc + 3k.
 
 The zero co-occurrence counts behind the union sizes come from the packed
-Gram rows (``mu.zero_counts``): slice c of an anchored block ORs row c into
-every anchor row before the pair kernel.  An exact oracle built directly
-from the generating supports is provided for testing.
+Gram rows (``mu.zero_counts``).  The tensor is symmetric, so an anchored
+block computes each unordered anchor triple once: slice i ORs anchor i into
+the anchors from position i on, pairs them, and writes the result at all
+six index orders.  An exact oracle built directly from the generating
+supports is provided for testing.
 """
 
 from __future__ import annotations
@@ -90,10 +92,13 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     idx = list(anchors)
     n = len(idx)
     t_pair = invert_counts(zero_counts(M, idx, idx), m, table)
-    block = np.zeros((n, n, n), dtype=np.int16)
+    block = np.empty((n, n, n), dtype=np.int16)
     for i in range(n):
-        t_triple = invert_counts(zero_counts(M, idx, idx, extra=idx[i]), m, table)
-        block[i] = _pie(t_triple, t_pair[i][:, None], t_pair[i][None, :], t_pair, k)
+        # The triples whose smallest position is i, written at all six orders.
+        t_triple = invert_counts(zero_counts(M, idx[i:], idx[i:], extra=idx[i]), m, table)
+        row = t_pair[i, i:]
+        block[i, i:, i:] = block[i:, i, i:] = block[i:, i:, i] = _pie(
+            t_triple, row[:, None], row[None, :], t_pair[i:, i:], k)
     bad = (block < 0) | (block > k)
     if bad.any():
         i, j, l = np.argwhere(bad)[0]

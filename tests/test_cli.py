@@ -164,3 +164,11 @@ def test_bench_subcommand(capsys):
     assert main(["bench", "--m", "200", "--r", "10", "--k", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "suggested_m" in out
+    # One default recovery on the bench instance, timed stage by stage.
+    assert type(out["recover_success"]) is bool
+    assert "recover_bootstrap_seconds" in out
+    assert main(["bench", "--m", "3905", "--r", "8", "--k", "2", "--seed", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["recover_success"] is True
+    for stage in ("bootstrap", "decompose", "round", "extend", "verify"):
+        assert out[f"recover_{stage}_seconds"] >= 0

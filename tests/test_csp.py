@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ssbmf import ParameterError, gen_selection_matrix, gram
+from ssbmf import ParameterError, csp, gen_selection_matrix, gram
 from ssbmf.csp import (Assignment, assignment_to_factors, evaluate,
                        rank_subset, reduce_asymmetric, reduce_symmetric,
                        solve_exact, solve_local, unrank_subset)
@@ -107,6 +107,43 @@ def test_solve_exact_attains_optimum():
     assert best.value == 6
     W_hat, residual = assignment_to_factors(inst, best)
     assert residual == 0
+
+
+def _enumerate_one_by_one(inst):
+    """Reference for solve_exact: score each assignment in itertools.product
+    order and keep the first best."""
+    best_sigma, best_value = None, -1
+    for sigma in itertools.product(range(inst.alphabet_size), repeat=inst.n_vertices):
+        value = evaluate(inst, sigma)
+        if value > best_value:
+            best_sigma, best_value = sigma, value
+    return best_sigma, best_value
+
+
+@pytest.mark.parametrize("make", [
+    lambda: planted_instance("integer")[1], lambda: planted_instance("boolean")[1],
+    lambda: reduce_symmetric(gram(gen_selection_matrix(4, 4, 2, seed=2)), 4, 2, "boolean"),
+    lambda: reduce_symmetric(gram(gen_selection_matrix(1, 4, 2, seed=5), "integer"), 4, 2)])
+@pytest.mark.parametrize("block", [1 << 18, 7])
+def test_solve_exact_matches_one_by_one_enumeration(make, block, monkeypatch):
+    # Every instance has several optimal assignments (column relabelings),
+    # so the first maximum in product order is what is compared; a small
+    # block puts the ties in different blocks.
+    monkeypatch.setattr(csp, "_EXACT_BLOCK", block)
+    inst = make()
+    best = solve_exact(inst)
+    assert (best.sigma, best.value) == _enumerate_one_by_one(inst)
+    assert all(type(t) is int for t in best.sigma)
+
+
+@pytest.mark.parametrize("targets, sigma, value", [
+    ([[2, 1, 1], [1, 2, 0], [1, 0, 2]], (0, 1, 4, 0, 1, 4), 9),  # planted U U^T
+    ([[2, 1, 0], [0, 2, 2], [1, 1, 1]], (0, 5, 1, 0, 2, 5), 8)])
+def test_solve_exact_bipartite_first_optimum(targets, sigma, value):
+    # 6^6 assignments each; the expected optimum is the one that one-by-one
+    # enumeration in product order returns.
+    best = solve_exact(reduce_asymmetric(np.array(targets), 4, 2))
+    assert (best.sigma, best.value) == (sigma, value)
 
 
 def test_solve_exact_budget():

@@ -5,8 +5,10 @@ from ssbmf import (ExtensionError, ParameterError, RecoverConfig, RoundingError,
                    extend_from_anchors, gen_selection_matrix, gram,
                    jennrich_decompose, match_columns, mu_table, oracle_tensor,
                    round_boolean, tensor_recover)
+from ssbmf import instance
 from ssbmf.instance import GramMatrix, SelectionMatrix
 from ssbmf.errors import RankDeficiencyError
+from ssbmf.mu import union_block
 
 
 def recover_via_oracle(W, seed=0):
@@ -76,17 +78,77 @@ def test_extend_from_anchors_readme_instance():
     assert np.array_equal(W_hat.support, W.support)
 
 
+def _meeting_every_row(bits, rows):
+    """Copy of the packed Gram rows in which each of ``rows`` meets every row."""
+    bits = bits.copy()
+    for a in rows:
+        bits[a] = gram(SelectionMatrix(m=len(bits), r=1, k=1, rows=[[0]] * len(bits))).bits[0]
+        bits[:, a // 64] |= np.uint64(1 << (a % 64))
+    return bits
+
+
 def test_extend_rejects_non_sparse_extended_row():
     W = gen_selection_matrix(400, 6, 2, seed=1)
     M = gram(W)
     # row 200 meets every row, so its zero counts are 0: maximal unions,
     # zero intersections with the anchors, and an all-zero rounded row
-    bits = M.bits.copy()
-    bits[200] = gram(SelectionMatrix(m=400, r=1, k=1, rows=[[0]] * 400)).bits[0]
-    bits[:, 200 // 64] |= np.uint64(1 << (200 % 64))
+    bits = _meeting_every_row(M.bits, [200])
     with pytest.raises(ExtensionError, match="row 200 rounded to sparsity 0"):
         extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits),
                             mu_table(6, 2), 2)
+
+
+@pytest.mark.parametrize("copy, named", [(300, 200), (100, 100)])
+def test_extend_names_the_lowest_of_equal_failing_rows(copy, named):
+    # Row 200 and its copy have equal Gram rows and so one row class; the
+    # error names the lower of the two, as a row-by-row scan would.
+    W = gen_selection_matrix(400, 6, 2, seed=1)
+    bits = _meeting_every_row(gram(W).bits, [200, copy])
+    assert np.array_equal(bits[200], bits[copy])
+    with pytest.raises(ExtensionError, match=f"row {named} rounded to sparsity 0"):
+        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits),
+                            mu_table(6, 2), 2)
+
+
+def _extend_without_classes(anchor_block, anchors, M, table, k):
+    """Reference for extend_from_anchors: one union block over every
+    non-anchor row; the supports, or the error message of the lowest
+    failing row."""
+    others = np.setdiff1d(np.arange(M.m), anchors)
+    counts = 2 * k - union_block(M, table, others, anchors)
+    extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
+    sums = extended.sum(axis=1)
+    for i in np.flatnonzero((sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)):
+        if sums[i] != k:
+            return f"row {others[i]} rounded to sparsity {sums[i]}, expected {k}"
+        return f"row {others[i]} fails the intersection re-check"
+    dense = np.zeros((M.m, anchor_block.shape[1]), dtype=np.int64)
+    dense[anchors], dense[others] = anchor_block, extended
+    return np.nonzero(dense)[1].reshape(M.m, k).tolist()
+
+
+def _extend_outcome(anchor_block, anchors, M, table, k):
+    try:
+        return extend_from_anchors(anchor_block, anchors, M, table, k).support.tolist()
+    except ExtensionError as exc:
+        return str(exc)
+
+
+# r=6, k=2 repeats each of the C(6, 2) = 15 supports many times; at r=40,
+# k=5 almost every row is its own class.  Small m makes extension fail.
+@pytest.mark.parametrize("m, r, k, n0, seed", [
+    (3000, 6, 2, 30, 0), (40, 6, 2, 30, 1), (60, 6, 2, 30, 0),
+    (3905, 40, 5, 160, 0), (13302, 40, 5, 160, 0)])
+def test_extend_matches_reference_without_row_classes(m, r, k, n0, seed, monkeypatch):
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    M, table = gram(W), mu_table(r, k)
+    anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
+    block = W.dense()[anchors]
+    want = _extend_without_classes(block, anchors, M, table, k)
+    assert _extend_outcome(block, anchors, M, table, k) == want
+    # Every row hashing alike sends all rows through the word-for-word check.
+    monkeypatch.setattr(instance, "_hash_multipliers", lambda n: np.zeros(n, np.uint64))
+    assert _extend_outcome(block, anchors, M, table, k) == want
 
 
 def test_extend_rejects_rank_deficient_block():
@@ -154,6 +216,8 @@ def test_tensor_recover_failure_flag_on_garbage():
     assert not res.success
     assert res.W_hat is None
     assert res.failure
+    # The failing stage is timed; the stages after it never ran.
+    assert list(res.diagnostics["stages"]) == ["bootstrap"]
 
 
 def test_tensor_recover_parameter_errors_raise():
@@ -172,5 +236,9 @@ def test_recovered_report_shape():
     report = res.report(include_timing=False)
     assert report["success"] is True
     assert report["residual"] == 0
-    assert "seconds" not in report
-    assert "seconds" in res.report()
+    assert "seconds" not in report and "stages" not in report
+    timed = res.report()
+    assert "seconds" in timed
+    assert list(timed["stages"]) == ["bootstrap", "decompose", "round", "extend", "verify"]
+    assert all(s >= 0 for s in timed["stages"].values())
+    assert sum(timed["stages"].values()) <= timed["seconds"]

@@ -89,6 +89,22 @@ def test_build_anchored_matches_oracle_large_m():
     assert T.indices == tuple(anchors)
 
 
+@pytest.mark.parametrize("order", ["increasing", "shuffled"])
+def test_anchored_block_matches_oracle_with_repeated_classes(order):
+    # 4000 rows over C(10, 2) = 45 supports: the anchors hold several rows of
+    # one support (equal Gram rows), so many triples repeat an index class.
+    W = gen_selection_matrix(4000, 10, 2, seed=8)
+    supports = W.rows
+    anchors = [a for a in range(400) if supports[a] == supports[0]][:5] + list(range(1, 25))
+    anchors = sorted(set(anchors))
+    if order == "shuffled":
+        anchors = np.random.default_rng(3).permutation(anchors).tolist()
+    T = build_tensor(gram(W), 10, 2, anchors=anchors)
+    sub = SelectionMatrix(m=len(anchors), r=10, k=2, rows=W.support[anchors])
+    assert np.array_equal(T.block, oracle_tensor(sub, materialize=True).block)
+    assert T.indices == tuple(anchors)
+
+
 def test_anchored_entry_outside_block_falls_back():
     W = gen_selection_matrix(4000, 10, 2, seed=8)
     M = gram(W)
@@ -104,8 +120,21 @@ def test_inconsistency_raised():
     full = (1 << m) - 1
     from ssbmf.instance import GramMatrix
     M = GramMatrix.from_json({"m": m, "hex_rows": [format(full, "x")] * m})
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match=r"entry \(0, 0, 0\) = -6 ") as exc:
         build_tensor(M, r, k, anchors=range(m))
+    assert (exc.value.triple, exc.value.value) == ((0, 0, 0), -6)
+
+
+@pytest.mark.parametrize("anchors, triple", [
+    (list(range(0, 1500, 23)), (0, 46, 713)),
+    (list(range(1499, 0, -23)), (1499, 1269, 809))])
+def test_inconsistency_names_the_first_bad_triple(anchors, triple):
+    # m = 1500 is below the sample size for r=16, k=3; the first bad entry in
+    # block order (positions i <= j <= l) is reported, anchors in given order.
+    M = gram(gen_selection_matrix(1500, 16, 3, seed=0))
+    with pytest.raises(InconsistencyError) as exc:
+        build_tensor(M, 16, 3, anchors=anchors)
+    assert (exc.value.triple, exc.value.value) == (triple, -1)
 
 
 def test_contract_basis_vectors():
