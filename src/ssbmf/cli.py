@@ -24,7 +24,7 @@ from . import probes
 from .errors import SsbmfError, ParameterError
 from .instance import (GramMatrix, SelectionMatrix, factorization_error,
                        gen_selection_matrix, gram, load_json, save_json)
-from .jennrich import RecoverConfig, tensor_recover
+from .jennrich import RecoverConfig, _stage, tensor_recover
 from .mu import mu_table, required_sample_size
 from .recover import (Dataset, HeavyRecoveryConfig, SyntheticDataset,
                       recover_dataset)
@@ -145,20 +145,18 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    timings = {}
-    start = time.perf_counter()
-    W = gen_selection_matrix(args.m, args.r, args.k, args.seed)
-    timings["gen_seconds"] = time.perf_counter() - start
-    start = time.perf_counter()
-    M = gram(W, "boolean")
-    timings["gram_seconds"] = time.perf_counter() - start
-    start = time.perf_counter()
-    factorization_error(M, W)
-    timings["verify_seconds"] = time.perf_counter() - start
-    timings["suggested_m"] = required_sample_size(
-        args.r, args.k, 3 * args.k, 0.1)
+    timings = {"suggested_m": required_sample_size(args.r, args.k, 3 * args.k, 0.1)}
+    m = timings["suggested_m"] if args.m is None else args.m
+    with _stage(timings, "gen_seconds"):
+        W = gen_selection_matrix(m, args.r, args.k, args.seed)
+    with _stage(timings, "gram_seconds"):
+        M = gram(W, "boolean")
+    with _stage(timings, "verify_seconds"):
+        factorization_error(M, W)
     result = tensor_recover(M, args.r, args.k, RecoverConfig(seed=args.seed))
     timings["recover_success"] = result.success
+    if "fallback_rows" in result.diagnostics:
+        timings["recover_fallback_rows"] = result.diagnostics["fallback_rows"]
     for stage, seconds in result.diagnostics["stages"].items():
         timings[f"recover_{stage}_seconds"] = seconds
     print(json.dumps({k: (round(v, 4) if isinstance(v, float) else v)
@@ -239,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("bench", help="timing of the core kernels and of each recovery stage")
-    p.add_argument("--m", type=int, default=1000)
+    p.add_argument("--m", type=int, default=None, help="default: suggested_m")
     p.add_argument("--r", type=int, default=12)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

@@ -28,7 +28,6 @@ from .errors import DimensionError, ParameterError
 _WORD = np.dtype("<u8")
 _CHUNK_WORDS = 1 << 16  # words per temporary in the chunked row kernels
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_HASH_KEY = 0x0c1a55e5  # Philox key of the row-hash multipliers; fixed, any key works
 
 
 def n_words(m: int) -> int:
@@ -36,39 +35,24 @@ def n_words(m: int) -> int:
     return (m + 63) // 64
 
 
+def _pack(flags) -> np.ndarray:
+    """Rows of 0/1 flags as rows of packed words, laid out as Gram rows."""
+    flags = np.ascontiguousarray(flags)
+    out = np.zeros((len(flags), n_words(flags.shape[1])), dtype=_WORD)
+    out.view(np.uint8)[:, : (flags.shape[1] + 7) // 8] = np.packbits(
+        flags, axis=1, bitorder="little")
+    return out
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n flags of each row of packed words, as a 0/1 int8 array."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n].astype(np.int8)
+
+
 def _row_chunks(n: int, words_per_row: int):
     step = max(1, _CHUNK_WORDS // max(1, words_per_row))
     for lo in range(0, n, step):
         yield lo, min(n, lo + step)
-
-
-def _hash_multipliers(n: int) -> np.ndarray:
-    """n fixed odd uint64 multipliers, a prefix of one constant Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=_HASH_KEY))
-    return gen.integers(0, 1 << 64, size=n, dtype=np.uint64) | np.uint64(1)
-
-
-def _row_classes(bits: np.ndarray, rows):
-    """Exact classes of equal packed rows among ``rows`` (increasing indices).
-
-    Returns (reps, cls): reps holds the first row of each class in increasing
-    order, and rows[i] equals row reps[cls[i]] word for word.  Rows are
-    grouped by a wrapping uint64 dot product with fixed multipliers, then each
-    row is compared with its group's first row; a row that differs (a hash
-    collision) becomes a class of its own, so distinct rows never merge.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    mult = _hash_multipliers(bits.shape[1])
-    h = np.empty(len(rows), dtype=np.uint64)
-    for lo, hi in _row_chunks(len(rows), bits.shape[1]):
-        h[lo:hi] = (bits[rows[lo:hi]] * mult).sum(axis=1, dtype=np.uint64)
-    _, first, group = np.unique(h, return_index=True, return_inverse=True)
-    rep = first[group]  # position in rows of each row's group representative
-    for lo, hi in _row_chunks(len(rows), 2 * bits.shape[1]):
-        differs = np.any(bits[rows[lo:hi]] != bits[rows[rep[lo:hi]]], axis=1)
-        rep[lo:hi][differs] = np.arange(lo, hi)[differs]
-    first_of_class = np.flatnonzero(rep == np.arange(len(rows)))
-    return rows[first_of_class], np.searchsorted(first_of_class, rep)
 
 
 def _json_ints(obj, *keys) -> list:
@@ -195,10 +179,9 @@ class GramMatrix:
     def entry(self, a: int, b: int) -> int:
         return int(self.bits[a, b >> 6] >> (b & 63)) & 1
 
-    def dense(self) -> np.ndarray:
-        """Boolean entries as a 0/1 array of shape (m, m)."""
-        flat = np.unpackbits(self.bits.view(np.uint8), axis=1, bitorder="little")
-        return flat[:, : self.m].astype(np.int8)
+    def dense(self, rows=None) -> np.ndarray:
+        """Boolean entries as a 0/1 array of shape (m, m), or of the given rows only."""
+        return _unpack(self.bits if rows is None else self.bits[rows], self.m)
 
     def to_json(self) -> dict:
         # Big-endian hex per row: reverse the little-endian bytes, then drop
@@ -301,9 +284,7 @@ def _gram_rows(W: SelectionMatrix):
     is m*k word-row operations.
     """
     m = W.m
-    cols = np.zeros((W.r, n_words(m)), dtype=_WORD)
-    cols.view(np.uint8)[:, : (m + 7) // 8] = np.packbits(
-        W.dense().T.astype(bool), axis=1, bitorder="little")
+    cols = _pack(W.dense().T)
     for lo, hi in _row_chunks(m, W.k * n_words(m)):
         yield lo, hi, np.bitwise_or.reduce(cols[W.support[lo:hi]], axis=1)
 

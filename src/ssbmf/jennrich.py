@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DegeneracyError, DimensionError, ExtensionError,
                      ParameterError, RankDeficiencyError, RoundingError,
                      SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, _rng, _row_classes,
+from .instance import (GramMatrix, SelectionMatrix, _rng, _row_chunks,
                        factorization_error)
 from .mu import MuTable, mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
@@ -52,6 +52,8 @@ class RecoveredFactors:
         if include_timing and "seconds" in self.diagnostics:
             out["seconds"] = self.diagnostics["seconds"]
             out["stages"] = dict(self.diagnostics["stages"])
+            if "fallback_rows" in self.diagnostics:
+                out["fallback_rows"] = self.diagnostics["fallback_rows"]
         if self.permutation is not None:
             out["permutation"] = list(self.permutation)
         if self.failure is not None:
@@ -131,17 +133,17 @@ def round_boolean(v) -> np.ndarray:
 
 
 def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
-                        M: GramMatrix, table: MuTable, k: int) -> SelectionMatrix:
+                        M: GramMatrix, table: MuTable, k: int,
+                        diagnostics: dict = None) -> SelectionMatrix:
     """Fill in the non-anchor rows of W from the recovered anchor block.
 
-    For a non-anchor row a, the intersection counts against the anchors are
-    c_ab = 2k - |S_a cup S_b| (mu-inverted from M); the row is the rounded
-    least-squares solution of (anchor block) x = c, re-checked exactly.
-    Rows with equal Gram rows have equal counts, so all of this runs on the
-    first row of each class of equal non-anchor Gram rows (at most C(r, k)
-    classes when M comes from a k-sparse W) and is copied to the rest of the
-    class.  A row that fails the k-sparsity or the re-check raises
-    ExtensionError naming the lowest such row.
+    Decode (COMP, from group testing): column j is a candidate for row a
+    when every anchor holding j meets S_a, as column a of M's anchor rows
+    tells (M is symmetric).  S_a is among the candidates, so a row with
+    exactly k of them is S_a.  Each other row (``diagnostics["fallback_rows"]``
+    counts them) is the rounded least-squares solution of (anchor block) x = c
+    for c_ab = 2k - |S_a cup S_b| (mu-inverted from M), re-checked exactly; a
+    failing row raises ExtensionError naming the lowest such row.
     """
     anchor_block = np.asarray(anchor_block, dtype=float)
     n0, r = anchor_block.shape
@@ -150,27 +152,30 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     if np.linalg.matrix_rank(anchor_block) < r:
         raise RankDeficiencyError("anchor block is column rank-deficient")
     anchor_indices = np.asarray(anchor_indices, dtype=np.intp)
-    rounded = np.zeros((M.m, r), dtype=bool)
-    rounded[anchor_indices] = anchor_block > 0.5
-    sparse = rounded[anchor_indices].sum(axis=1) == k
+    held = anchor_block > 0.5
+    sparse = held.sum(axis=1) == k
     if not sparse.all():
         a = int(anchor_indices[np.argmin(sparse)])
         raise ExtensionError(f"anchor row {a} is not {k}-sparse")
-    others = np.setdiff1d(np.arange(M.m), anchor_indices)
-    reps, cls = _row_classes(M.bits, others)
-    counts = 2 * k - union_block(M, table, reps, anchor_indices)
+    misses = 1 - M.dense(anchor_indices)  # (n0, m): anchor b misses S_a
+    holds = held.astype(np.float32)  # sums are at most n0: the products are exact
+    rounded = np.concatenate([misses[:, lo:hi].T.astype(np.float32) @ holds == 0
+                              for lo, hi in _row_chunks(M.m, n0)])
+    rounded[anchor_indices] = held
+    rest = np.flatnonzero(np.count_nonzero(rounded, axis=1) != k)  # increasing
+    if diagnostics is not None:
+        diagnostics["fallback_rows"] = len(rest)
+    counts = 2 * k - union_block(M, table, rest, anchor_indices)
     extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
     sums = extended.sum(axis=1)
     bad = (sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)
     if bad.any():
-        # Representatives are the first rows of their classes, so the first
-        # failing one is the lowest failing row.
         i = int(np.argmax(bad))
         if sums[i] != k:
             raise ExtensionError(
-                f"row {reps[i]} rounded to sparsity {int(sums[i])}, expected {k}")
-        raise ExtensionError(f"row {reps[i]} fails the intersection re-check")
-    rounded[others] = extended[cls]
+                f"row {rest[i]} rounded to sparsity {int(sums[i])}, expected {k}")
+        raise ExtensionError(f"row {rest[i]} fails the intersection re-check")
+    rounded[rest] = extended
     return SelectionMatrix(m=M.m, r=r, k=k, rows=np.nonzero(rounded)[1].reshape(M.m, k))
 
 
@@ -183,14 +188,12 @@ def match_columns(W_hat: SelectionMatrix, W_ref: SelectionMatrix):
     """
     if (W_hat.m, W_hat.r) != (W_ref.m, W_ref.r):
         raise DimensionError("shape mismatch between candidate and reference")
-    cols_hat = _column_keys(W_hat)
-    cols_ref = _column_keys(W_ref)
     available = {}
-    for j, key in enumerate(cols_ref):
+    for j, key in enumerate(map(tuple, W_ref.dense().T.tolist())):
         available.setdefault(key, []).append(j)
     permutation = [None] * W_hat.r
     unmatched_hat = []
-    for i, key in enumerate(cols_hat):
+    for i, key in enumerate(map(tuple, W_hat.dense().T.tolist())):
         slots = available.get(key)
         if slots:
             permutation[i] = slots.pop(0)
@@ -200,11 +203,6 @@ def match_columns(W_hat: SelectionMatrix, W_ref: SelectionMatrix):
     if unmatched_hat:
         return None, (sorted(unmatched_hat), sorted(unmatched_ref))
     return permutation, None
-
-
-def _column_keys(W: SelectionMatrix):
-    dense = W.dense()
-    return [tuple(dense[:, j].tolist()) for j in range(W.r)]
 
 
 @contextmanager
@@ -248,9 +246,9 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
         with _stage(stages, "decompose"):
             vectors = jennrich_decompose(T, r, seed=config.seed, diagnostics=diagnostics)
         with _stage(stages, "round"):
-            columns = [round_boolean(v) for v in vectors]
+            block = np.stack([round_boolean(v) for v in vectors], axis=1)
         with _stage(stages, "extend"):
-            W_hat = extend_from_anchors(np.stack(columns, axis=1), indices, M, table, k)
+            W_hat = extend_from_anchors(block, indices, M, table, k, diagnostics)
     except SsbmfError as exc:
         if isinstance(exc, (ParameterError, DimensionError)):
             raise

@@ -2,9 +2,10 @@
 
 mu_t is the probability that a fresh uniform k-subset of [r] avoids a fixed
 set of size t: mu_t = C(r-t, k) / C(r, k), kept in exact rationals.  A zero
-co-occurrence count (m - popcount of the OR of packed Gram rows) inverts to
-the union size whose mu is nearest to count/m through exact integer
-thresholds, so no decision boundary is subject to floating-point rounding.
+co-occurrence count (m - popcount of the OR of packed Gram rows, or of
+weighted words that each stand for several equal columns) inverts to the
+union size whose mu is nearest to count/m through exact integer thresholds,
+so no decision boundary is subject to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -72,18 +73,23 @@ def zero_cooccurrence(M: GramMatrix, rows) -> int:
     return M.m - int(np.bitwise_count(np.bitwise_or.reduce(M.bits[rows])).sum())
 
 
-def zero_counts(M: GramMatrix, rows_a, rows_b=None, extra=None) -> np.ndarray:
-    """Zero co-occurrence counts of the pairs rows_a x rows_b (default: all
-    rows), or of the triples (a, b, extra); chunked over rows_a."""
-    B = M.bits if rows_b is None else M.bits[list(rows_b)]
+def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None, extra=None,
+                weights=None) -> np.ndarray:
+    """Zero co-occurrence counts of the pairs rows_a x rows_b of packed rows
+    (default: all), or of the triples (a, b, extra), chunked over rows_a: m
+    minus the popcount of the OR, word w weighing weights[w] (default 1), as
+    a float32 product, exact as its partial sums are integers <= m < 2^24."""
+    dtype = np.float32 if m < 1 << 24 else np.float64
+    weights = np.ones(bits.shape[1], dtype) if weights is None else weights.astype(dtype)
+    B = bits if rows_b is None else bits[list(rows_b)]
     rows_a = np.asarray(rows_a, dtype=np.intp)
     out = np.empty((len(rows_a), len(B)), dtype=np.int64)
     for lo, hi in _row_chunks(len(rows_a), B.size):
-        A = M.bits[rows_a[lo:hi]]
+        A = bits[rows_a[lo:hi]]
         if extra is not None:
-            A |= M.bits[extra]
+            A |= bits[extra]
         union = A[:, None, :] | B[None, :, :]
-        out[lo:hi] = M.m - np.bitwise_count(union).sum(axis=-1, dtype=np.int32)
+        out[lo:hi] = m - np.bitwise_count(union) @ weights
     return out
 
 
@@ -108,16 +114,9 @@ def invert_counts(counts, m: int, table: MuTable) -> np.ndarray:
     return np.subtract(len(thresholds), out, out=out)
 
 
-def pairwise_union_sizes(M: GramMatrix, table: MuTable) -> np.ndarray:
-    """|S_a cup S_b| for every row pair, by mu-inversion; diagonal set to k."""
-    out = union_block(M, table, range(M.m))
-    np.fill_diagonal(out, table.k)
-    return out
-
-
 def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarray:
     """Union sizes for the row block rows_a x rows_b (default: all rows)."""
-    return invert_counts(zero_counts(M, rows_a, rows_b), M.m, table)
+    return invert_counts(zero_counts(M.bits, M.m, rows_a, rows_b), M.m, table)
 
 
 def required_sample_size(r: int, k: int, t: int, delta: float, c0: float = 1.0) -> int:

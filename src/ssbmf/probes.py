@@ -123,16 +123,20 @@ def rank_report(W: SelectionMatrix, primes=(), seed: int = 0) -> RankReport:
     """Ranks over F2, each requested prime modulus, and the rationals.
 
     The rational rank is the max over three random primes from the pool (a
-    certified lower bound); when that is not full and r <= 200, it is
-    certified exact by fraction-free elimination.
+    certified lower bound, computed until one is full); when that is not
+    full and r <= 200, it is certified exact by fraction-free elimination.
     """
     dense = W.dense()
     f2 = rank_f2(W)
     modq = {int(q): rank_modp(dense, int(q)) for q in primes}
     picks = _rng(seed, 0xfa11).choice(len(_PRIME_POOL), size=3, replace=False)
-    real = max(rank_modp(dense, _PRIME_POOL[int(i)]) for i in picks)
-    notes = [f"modular primes: {[_PRIME_POOL[int(i)] for i in picks]}"]
-    if real < min(W.m, W.r) and W.r <= 200:
+    pool, full, real = [_PRIME_POOL[int(i)] for i in picks], min(W.m, W.r), 0
+    for p in pool:  # no rank exceeds full
+        real = max(real, rank_modp(dense, p))
+        if real == full:
+            break
+    notes = [f"modular primes: {pool}"]
+    if real < full and W.r <= 200:
         real = rank_exact(dense)
         notes.append("certified by fraction-free elimination")
     return RankReport(rank_f2=f2, rank_modq=modq, rank_real=real, notes=notes)

@@ -5,11 +5,12 @@ from mu-inverted union sizes:
 
     T_abc = t_abc - t_ab - t_ac - t_bc + 3k.
 
-The zero co-occurrence counts behind the union sizes come from the packed
-Gram rows (``mu.zero_counts``).  The tensor is symmetric, so an anchored
-block computes each unordered anchor triple once: slice i ORs anchor i into
-the anchors from position i on, pairs them, and writes the result at all
-six index orders.  An exact oracle built directly from the generating
+An anchored block reads only the anchor rows of M, merged over their
+distinct columns into weighted packed words whose zero counts
+(``mu.zero_counts``) equal those of the full rows.  The tensor is symmetric,
+so the block computes each unordered anchor triple once: slice i ORs anchor
+i into the anchors from position i on, pairs them, and writes the result at
+all six index orders.  An exact oracle built directly from the generating
 supports is provided for testing.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InconsistencyError, ParameterError
-from .instance import GramMatrix, SelectionMatrix
+from .instance import _WORD, GramMatrix, SelectionMatrix, _pack, _unpack
 from .mu import MuTable, invert_counts, mu_table, zero_cooccurrence, zero_counts
 
 
@@ -61,6 +62,23 @@ def _pie(t_abc, t_ab, t_ac, t_bc, k):
     return t_abc - t_ab - t_ac - t_bc + 3 * k
 
 
+def _distinct_columns(M: GramMatrix, rows):
+    """The given rows of M packed over their distinct columns: (bits, weights).
+
+    Zero counts of these rows depend only on each column's pattern in them.
+    A pattern occurring c times is kept once in plane b for each set bit b of
+    c, plane b's words weigh 2^b, and the planes hold at most m bits.
+    """
+    columns = _pack(M.dense(rows).T)  # row j: the pattern of column j
+    key = _WORD if columns.shape[1] == 1 else np.dtype((np.void, columns[0].nbytes))
+    patterns, counts = np.unique(columns.view(key).ravel(), return_counts=True)
+    patterns = _unpack(patterns.view(_WORD).reshape(len(patterns), -1), len(rows))
+    planes = [_pack(patterns[(counts >> b) & 1 == 1].T)
+              for b in range(int(counts.max()).bit_length())]
+    weights = [np.full(plane.shape[1], 1 << b) for b, plane in enumerate(planes)]
+    return np.concatenate(planes, axis=1), np.concatenate(weights)
+
+
 def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
                  anchors=None, table: MuTable = None) -> IntersectionTensor:
     """Bootstrap the intersection tensor from the Boolean Gram matrix.
@@ -91,11 +109,13 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
         raise ParameterError("anchored mode requires an anchor set")
     idx = list(anchors)
     n = len(idx)
-    t_pair = invert_counts(zero_counts(M, idx, idx), m, table)
+    bits, weights = _distinct_columns(M, idx)
+    t_pair = invert_counts(zero_counts(bits, m, range(n), weights=weights), m, table)
     block = np.empty((n, n, n), dtype=np.int16)
     for i in range(n):
         # The triples whose smallest position is i, written at all six orders.
-        t_triple = invert_counts(zero_counts(M, idx[i:], idx[i:], extra=idx[i]), m, table)
+        t_triple = invert_counts(
+            zero_counts(bits[i:], m, range(n - i), extra=0, weights=weights), m, table)
         row = t_pair[i, i:]
         block[i, i:, i:] = block[i:, i, i:] = block[i:, i:, i] = _pie(
             t_triple, row[:, None], row[None, :], t_pair[i:, i:], k)

@@ -172,3 +172,12 @@ def test_bench_subcommand(capsys):
     assert out["recover_success"] is True
     for stage in ("bootstrap", "decompose", "round", "extend", "verify"):
         assert out[f"recover_{stage}_seconds"] >= 0
+    assert out["recover_fallback_rows"] >= 0
+
+
+def test_bench_defaults_to_the_suggested_sample_size(capsys):
+    assert main(["bench"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["suggested_m"] == 6151
+    assert out["recover_success"] is True
+    assert out["recover_fallback_rows"] >= 0

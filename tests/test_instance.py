@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbmf import instance
 from ssbmf import (DimensionError, ParameterError, SelectionMatrix,
                    factorization_error, gen_selection_matrix, gram,
                    invert_fraction, mu_table, split_seed, zero_cooccurrence)
@@ -281,39 +280,3 @@ def test_gram_from_json_rejects_malformed(obj, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(obj))
     assert main(["attack", "--gram", str(path), "--r", "4", "--k", "2"]) == 2
-
-
-def _check_row_classes(bits, rows, reps, cls):
-    """reps are increasing first rows of their classes and every row equals
-    its class representative word for word."""
-    assert np.all(np.diff(reps) > 0)
-    assert np.array_equal(bits[rows], bits[reps[cls]])
-    assert np.array_equal(rows[np.searchsorted(rows, reps)], reps)
-    assert np.all(rows >= reps[cls])
-
-
-@pytest.mark.parametrize("m, r, k", [(3000, 6, 2), (700, 40, 5), (129, 3, 1)])
-def test_row_classes_are_exact(m, r, k):
-    W = gen_selection_matrix(m, r, k, seed=4)
-    bits = gram(W).bits
-    rows = np.setdiff1d(np.arange(m), np.arange(0, m, 7))
-    reps, cls = instance._row_classes(bits, rows)
-    _check_row_classes(bits, rows, reps, cls)
-    # One class per distinct support (equal supports, equal Gram rows).
-    first = {}
-    supports = W.rows
-    for a in rows.tolist():
-        first.setdefault(supports[a], a)
-    assert reps.tolist() == sorted(first.values())
-
-
-def test_row_classes_never_merge_rows_on_a_hash_collision(monkeypatch):
-    # Zero multipliers give every row the same hash: the word-for-word check
-    # must still keep distinct rows apart.
-    monkeypatch.setattr(instance, "_hash_multipliers", lambda n: np.zeros(n, np.uint64))
-    W = gen_selection_matrix(500, 6, 2, seed=5)
-    bits = gram(W).bits
-    rows = np.arange(500)
-    reps, cls = instance._row_classes(bits, rows)
-    _check_row_classes(bits, rows, reps, cls)
-    assert len(reps) >= len(set(W.rows))

@@ -1,3 +1,8 @@
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,6 @@ from ssbmf import (ExtensionError, ParameterError, RecoverConfig, RoundingError,
                    extend_from_anchors, gen_selection_matrix, gram,
                    jennrich_decompose, match_columns, mu_table, oracle_tensor,
                    round_boolean, tensor_recover)
-from ssbmf import instance
 from ssbmf.instance import GramMatrix, SelectionMatrix
 from ssbmf.errors import RankDeficiencyError
 from ssbmf.mu import union_block
@@ -110,15 +114,22 @@ def test_extend_names_the_lowest_of_equal_failing_rows(copy, named):
                             mu_table(6, 2), 2)
 
 
-def _extend_without_classes(anchor_block, anchors, M, table, k):
-    """Reference for extend_from_anchors: one union block over every
-    non-anchor row; the supports, or the error message of the lowest
-    failing row."""
+def _least_squares_rows(anchor_block, anchors, M, table, k):
+    """Reference for extend_from_anchors without the decode: the non-anchor
+    rows, their rounded least-squares rows and the sparsity and re-check
+    outcome of each, from one union block over every non-anchor row."""
     others = np.setdiff1d(np.arange(M.m), anchors)
     counts = 2 * k - union_block(M, table, others, anchors)
     extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
     sums = extended.sum(axis=1)
-    for i in np.flatnonzero((sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)):
+    return others, extended, sums, np.any(extended @ anchor_block.T != counts, axis=1)
+
+
+def _extend_reference(anchor_block, anchors, M, table, k):
+    """The supports, or the error message of the lowest failing row, when
+    every non-anchor row is solved by least squares."""
+    others, extended, sums, wrong = _least_squares_rows(anchor_block, anchors, M, table, k)
+    for i in np.flatnonzero((sums != k) | wrong):
         if sums[i] != k:
             return f"row {others[i]} rounded to sparsity {sums[i]}, expected {k}"
         return f"row {others[i]} fails the intersection re-check"
@@ -135,20 +146,52 @@ def _extend_outcome(anchor_block, anchors, M, table, k):
 
 
 # r=6, k=2 repeats each of the C(6, 2) = 15 supports many times; at r=40,
-# k=5 almost every row is its own class.  Small m makes extension fail.
+# k=5 almost every row has its own Gram row.  Small m makes the least-squares
+# extension fail; the decode resolves (40, 6, 2, 30), (60, 6, 2, 30) and
+# (3905, 40, 5, 160) to the true W.
 @pytest.mark.parametrize("m, r, k, n0, seed", [
     (3000, 6, 2, 30, 0), (40, 6, 2, 30, 1), (60, 6, 2, 30, 0),
     (3905, 40, 5, 160, 0), (13302, 40, 5, 160, 0)])
-def test_extend_matches_reference_without_row_classes(m, r, k, n0, seed, monkeypatch):
+def test_extend_matches_reference_without_row_classes(m, r, k, n0, seed):
     W = gen_selection_matrix(m, r, k, seed=seed)
     M, table = gram(W), mu_table(r, k)
     anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
     block = W.dense()[anchors]
-    want = _extend_without_classes(block, anchors, M, table, k)
-    assert _extend_outcome(block, anchors, M, table, k) == want
-    # Every row hashing alike sends all rows through the word-for-word check.
-    monkeypatch.setattr(instance, "_hash_multipliers", lambda n: np.zeros(n, np.uint64))
-    assert _extend_outcome(block, anchors, M, table, k) == want
+    want = _extend_reference(block, anchors, M, table, k)
+    got = _extend_outcome(block, anchors, M, table, k)
+    if isinstance(want, list):
+        assert got == want
+    else:
+        assert got in (want, W.support.tolist())
+
+
+@pytest.mark.parametrize("m, r, k, n0, seed", [
+    (13302, 16, 3, 64, 105), (600, 6, 2, 12, 2), (300, 8, 2, 20, 2),
+    (1500, 16, 3, 48, 1), (20000, 40, 5, 56, 9)])
+def test_decode_agrees_with_least_squares_reference(m, r, k, n0, seed):
+    # True anchor blocks on exact Gram matrices: every row comes out as W's,
+    # some through the decode and some through the fallback, and equals the
+    # least-squares row wherever that row passes its checks.  At m=300 and
+    # m=1500 the least squares alone fails on 123 and 118 rows.
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    M, table = gram(W), mu_table(r, k)
+    anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
+    block = W.dense()[anchors]
+    diagnostics = {}
+    W_hat = extend_from_anchors(block, anchors, M, table, k, diagnostics)
+    assert np.array_equal(W_hat.support, W.support)
+    # The fallback rows are those whose candidate count, taken from W, is not k.
+    dense = W.dense().astype(np.int64)
+    misses = (dense[anchors] @ dense.T == 0).astype(np.int64)
+    candidates = np.count_nonzero(misses.T @ dense[anchors] == 0, axis=1)
+    candidates[anchors] = k
+    assert diagnostics["fallback_rows"] == np.count_nonzero(candidates != k)
+    assert 0 < diagnostics["fallback_rows"] < m - n0
+    others, extended, sums, wrong = _least_squares_rows(block, anchors, M, table, k)
+    ok = (sums == k) & ~wrong
+    assert ok.any()
+    got = W_hat.dense()[others]
+    assert np.array_equal(got[ok], extended[ok])
 
 
 def test_extend_rejects_rank_deficient_block():
@@ -237,8 +280,23 @@ def test_recovered_report_shape():
     assert report["success"] is True
     assert report["residual"] == 0
     assert "seconds" not in report and "stages" not in report
+    assert "fallback_rows" not in report
     timed = res.report()
     assert "seconds" in timed
+    assert timed["fallback_rows"] == res.diagnostics["fallback_rows"] >= 0
     assert list(timed["stages"]) == ["bootstrap", "decompose", "round", "extend", "verify"]
     assert all(s >= 0 for s in timed["stages"].values())
     assert sum(timed["stages"].values()) <= timed["seconds"]
+
+
+def test_benchmark_trace_names_resolve(monkeypatch):
+    # The benchmark's tracer wraps these names from outside and reads the
+    # arguments anchor_indices and M by name; a rename would drop its metrics.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing_contract", path)
+    bench_tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_tracing)  # for its dataclasses
+    spec.loader.exec_module(bench_tracing)
+    assert bench_tracing.Tracer().missing == []
+    assert "anchor_indices" in inspect.signature(extend_from_anchors).parameters
+    assert "M" in inspect.signature(union_block).parameters

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ssbmf import (ParameterError, gen_selection_matrix, gram, invert_fraction,
-                   mu_table, pairwise_union_sizes, required_sample_size,
-                   zero_cooccurrence)
+                   mu_table, required_sample_size, zero_cooccurrence)
 from ssbmf.instance import SelectionMatrix
 from ssbmf.mu import invert_counts, union_block
 
@@ -113,7 +112,8 @@ def test_pairwise_union_population_exact():
     W = all_subsets_matrix(r, k)
     M = gram(W)
     table = mu_table(r, k, t_max=r - k)
-    unions = pairwise_union_sizes(M, table)
+    unions = union_block(M, table, range(W.m))
+    np.fill_diagonal(unions, k)
     for a in range(W.m):
         for b in range(W.m):
             want = len(set(W.rows[a]) | set(W.rows[b])) if a != b else k
@@ -125,7 +125,8 @@ def test_union_block_matches_pairwise():
     W = all_subsets_matrix(r, k)
     M = gram(W)
     table = mu_table(r, k, t_max=r - k)
-    full = pairwise_union_sizes(M, table)
+    full = union_block(M, table, range(W.m))
+    np.fill_diagonal(full, k)
     rows_a = [0, 3, 8]
     block = union_block(M, table, rows_a, range(W.m))
     for i, a in enumerate(rows_a):

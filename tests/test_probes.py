@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ssbmf import ParameterError, gen_selection_matrix
+from ssbmf import ParameterError, gen_selection_matrix, probes
 from ssbmf.instance import SelectionMatrix, sample_k_subset, split_seed
 from ssbmf.probes import (anticoncentration_estimate, enumerate_zero_probability,
                           f2_zero_probability, fibre_stats, krawtchouk,
@@ -115,6 +115,24 @@ def test_rank_report_certifies_deficiency():
     report = rank_report(W)
     assert report.rank_real == 1
     assert any("fraction-free" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("full, calls", [(True, 1), (False, 3)])
+def test_rank_report_stops_at_the_first_full_pool_rank(full, calls, monkeypatch):
+    # No rank exceeds min(m, r), so the pool primes after a full one are
+    # skipped; the notes still list all three drawn primes.
+    if full:
+        W = gen_selection_matrix(160, 40, 3, seed=4)
+    else:
+        W = SelectionMatrix(m=5, r=4, k=2, rows=[(0, 1)] * 5)
+    seen = []
+    monkeypatch.setattr(probes, "rank_modp", lambda A, p: seen.append(p) or rank_modp(A, p))
+    report = rank_report(W, seed=3)
+    assert report.rank_real == (40 if full else 1)
+    assert len(seen) == calls
+    primes = [int(p) for p in report.notes[0].split("[")[1].rstrip("]").split(",")]
+    assert len(set(primes)) == 3 and primes[:calls] == seen
+    assert report.rank_real == max(rank_modp(W.dense(), p) for p in primes)
 
 
 def test_wilson_interval_basic():

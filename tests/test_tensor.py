@@ -6,6 +6,7 @@ import pytest
 from ssbmf import (InconsistencyError, ParameterError, build_tensor,
                    gen_selection_matrix, gram, mu_table, oracle_tensor)
 from ssbmf.instance import SelectionMatrix
+from ssbmf.mu import invert_counts
 from ssbmf.tensor import contract
 
 
@@ -103,6 +104,58 @@ def test_anchored_block_matches_oracle_with_repeated_classes(order):
     sub = SelectionMatrix(m=len(anchors), r=10, k=2, rows=W.support[anchors])
     assert np.array_equal(T.block, oracle_tensor(sub, materialize=True).block)
     assert T.indices == tuple(anchors)
+
+
+def _reference_block(M, r, k, anchors):
+    """The anchored block with zero counts taken straight from M's dense
+    anchor rows: the block, or (triple, value) of its first bad entry."""
+    table = mu_table(r, k)
+    zero = 1.0 - M.dense()[anchors]
+    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), M.m, table)
+    triples = invert_counts(np.rint(np.einsum("aj,bj,cj->abc", zero, zero, zero,
+                                              optimize=True)).astype(np.int64), M.m, table)
+    block = triples - pairs[:, :, None] - pairs[:, None, :] - pairs[None, :, :] + 3 * k
+    bad = np.argwhere((block < 0) | (block > k))
+    if len(bad):
+        i, j, l = bad[0]
+        return (anchors[i], anchors[j], anchors[l]), int(block[i, j, l])
+    return block
+
+
+def _anchor_sets(m):
+    """Shuffled anchor sets of at most 64 rows, of more (two-word column
+    patterns) when m allows, and of all m rows."""
+    order = np.random.default_rng(m).permutation(m).tolist()
+    return [order[:n0] for n0 in sorted({min(m, 20), min(m, 70), m})]
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("r, k", [(5, 1), (8, 2)])
+def test_anchored_block_matches_dense_reference(m, r, k):
+    M = gram(gen_selection_matrix(m, r, k, seed=m))
+    for anchors in _anchor_sets(m):
+        want = _reference_block(M, r, k, anchors)
+        if isinstance(want, tuple):
+            with pytest.raises(InconsistencyError) as exc:
+                build_tensor(M, r, k, anchors=anchors)
+            assert (exc.value.triple, exc.value.value) == want
+        else:
+            assert np.array_equal(build_tensor(M, r, k, anchors=anchors).block, want)
+
+
+@pytest.mark.parametrize("m, r", [(63, 7), (64, 8), (65, 5), (130, 13)])
+def test_anchored_block_on_balanced_population_matches_oracle(m, r):
+    # Each 1-subset of [r] repeated m / r times: the zero fractions equal the
+    # mu values exactly, and equal anchor columns repeat with counts of
+    # several bits (9, 8, 13 and 10 copies).
+    rows = np.random.default_rng(r).permutation(np.repeat(np.arange(r), m // r))[:, None]
+    W = SelectionMatrix(m=m, r=r, k=1, rows=rows)
+    M = gram(W)
+    for anchors in _anchor_sets(m):
+        T = build_tensor(M, r, 1, anchors=anchors)
+        sub = SelectionMatrix(m=len(anchors), r=r, k=1, rows=rows[anchors])
+        assert np.array_equal(T.block, oracle_tensor(sub, materialize=True).block)
+        assert np.array_equal(T.block, _reference_block(M, r, 1, anchors))
 
 
 def test_anchored_entry_outside_block_falls_back():
