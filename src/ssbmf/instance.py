@@ -35,6 +35,12 @@ def n_words(m: int) -> int:
     return (m + 63) // 64
 
 
+def _row_chunks(n: int, words_per_row: int):
+    step = max(1, _CHUNK_WORDS // max(1, words_per_row))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
 def _pack(flags) -> np.ndarray:
     """Rows of 0/1 flags as rows of packed words, laid out as Gram rows."""
     flags = np.ascontiguousarray(flags)
@@ -47,12 +53,6 @@ def _pack(flags) -> np.ndarray:
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     """The first n flags of each row of packed words, as a 0/1 int8 array."""
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n].astype(np.int8)
-
-
-def _row_chunks(n: int, words_per_row: int):
-    step = max(1, _CHUNK_WORDS // max(1, words_per_row))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
 
 
 def _json_ints(obj, *keys) -> list:

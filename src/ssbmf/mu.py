@@ -77,8 +77,8 @@ def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None, extra=None,
                 weights=None) -> np.ndarray:
     """Zero co-occurrence counts of the pairs rows_a x rows_b of packed rows
     (default: all), or of the triples (a, b, extra), chunked over rows_a: m
-    minus the popcount of the OR, word w weighing weights[w] (default 1), as
-    a float32 product, exact as its partial sums are integers <= m < 2^24."""
+    minus the popcount of the OR, word w weighing weights[w] (default 1), as a
+    float product, exact as its partial sums are integers <= m (float32 < 2^24)."""
     dtype = np.float32 if m < 1 << 24 else np.float64
     weights = np.ones(bits.shape[1], dtype) if weights is None else weights.astype(dtype)
     B = bits if rows_b is None else bits[list(rows_b)]
