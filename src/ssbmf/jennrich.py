@@ -158,8 +158,8 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
         a = int(anchor_indices[np.argmin(sparse)])
         raise ExtensionError(f"anchor row {a} is not {k}-sparse")
     misses = 1 - M.dense(anchor_indices)  # (n0, m): anchor b misses S_a
-    holds = held.astype(np.float32)  # sums are at most n0: the products are exact
-    rounded = np.concatenate([misses[:, lo:hi].T.astype(np.float32) @ holds == 0
+    held32 = held.astype(np.float32)  # sums are at most n0: the products are exact
+    rounded = np.concatenate([misses[:, lo:hi].T.astype(np.float32) @ held32 == 0
                               for lo, hi in _row_chunks(M.m, n0)])
     rounded[anchor_indices] = held
     rest = np.flatnonzero(np.count_nonzero(rounded, axis=1) != k)  # increasing
