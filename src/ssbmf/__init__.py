@@ -15,11 +15,9 @@ from .instance import (GramMatrix, SelectionMatrix, factorization_error,
 from .jennrich import (RecoverConfig, RecoveredFactors, extend_from_anchors,
                        jennrich_decompose, match_columns, round_boolean,
                        tensor_recover)
-from .mu import (MuTable, invert_fraction, mu_table, required_sample_size,
-                 zero_cooccurrence)
-from .recover import (Dataset, HeavyRecoveryConfig, SyntheticDataset,
-                      expected_square_inner, gen_instahide,
-                      get_heavy_coordinates, recover_dataset)
+from .mu import MuTable, mu_table, required_sample_size, zero_cooccurrence
+from .recover import (Dataset, SyntheticDataset, expected_square_inner,
+                      gen_instahide, get_heavy_coordinates, recover_dataset)
 from .tensor import IntersectionTensor, build_tensor, contract, oracle_tensor
 
 __version__ = "0.1.0"

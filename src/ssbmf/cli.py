@@ -12,10 +12,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -23,11 +21,10 @@ from . import csp as csp_mod
 from . import probes
 from .errors import SsbmfError, ParameterError
 from .instance import (GramMatrix, SelectionMatrix, factorization_error,
-                       gen_selection_matrix, gram, load_json, save_json)
+                       gen_selection_matrix, gram, load_json, save_csv, save_json)
 from .jennrich import RecoverConfig, _stage, tensor_recover
 from .mu import mu_table, required_sample_size
-from .recover import (Dataset, HeavyRecoveryConfig, SyntheticDataset,
-                      recover_dataset)
+from .recover import SyntheticDataset, recover_dataset
 
 EXIT_OK = 0
 EXIT_PARAM = 2
@@ -35,18 +32,20 @@ EXIT_FAILURE = 3
 
 
 def _emit(obj: dict, out: str, fmt: str) -> None:
-    if out is None or out == "-":
-        if fmt == "pretty":
-            for key, value in sorted(obj.items()):
-                print(f"{key}: {value}")
-        else:
-            print(json.dumps(obj, sort_keys=True))
-        return
+    """obj as json, csv or pretty lines, in the file out or on stdout (out
+    None or "-"); JSON is one line on stdout and indented in a file."""
+    stdout = out is None or out == "-"
     if fmt == "csv":
-        with open(out, "w", newline="") as fh:
-            writer = csv_mod.writer(fh)
-            for key, value in sorted(obj.items()):
-                writer.writerow([key, value])
+        save_csv(sorted(obj.items()), sys.stdout if stdout else out)
+    elif fmt == "pretty":
+        text = "".join(f"{key}: {value}\n" for key, value in sorted(obj.items()))
+        if stdout:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w") as fh:
+                fh.write(text)
+    elif stdout:
+        print(json.dumps(obj, sort_keys=True))
     else:
         save_json(obj, out)
 
@@ -67,15 +66,14 @@ def _cmd_gram(args) -> int:
 def _cmd_attack(args) -> int:
     M = GramMatrix.from_json(load_json(args.gram))
     config = RecoverConfig(anchors=args.anchors, seed=args.seed)
-    start = time.perf_counter()
     result = tensor_recover(M, args.r, args.k, config)
-    elapsed = time.perf_counter() - start
     report = result.report(include_timing=False)
     if args.out:
         save_json(report, args.out)
     if args.w_out and result.W_hat is not None:
         save_json(result.W_hat.to_json(), args.w_out)
-    print(json.dumps({**report, "seconds": round(elapsed, 3)}, sort_keys=True))
+    print(json.dumps({**report, "seconds": round(result.diagnostics["seconds"], 3)},
+                     sort_keys=True))
     return EXIT_OK if result.success else EXIT_FAILURE
 
 
@@ -83,9 +81,8 @@ def _cmd_recover(args) -> int:
     M = GramMatrix.from_json(load_json(args.gram))
     Z = np.loadtxt(args.synthetic, delimiter=",", ndmin=2)
     synthetic = SyntheticDataset(Z=Z)
-    cfg = HeavyRecoveryConfig(eta=args.eta, c_heavy=args.c_heavy)
     config = RecoverConfig(anchors=args.anchors, seed=args.seed)
-    dataset, report = recover_dataset(M, synthetic, args.r, args.k, cfg, config)
+    dataset, report = recover_dataset(M, synthetic, args.r, args.k, args.c_heavy, config)
     if dataset is not None and args.out:
         dataset.to_csv(args.out)
     printable = {"success": report["success"]}
@@ -97,13 +94,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_csp(args) -> int:
     M = GramMatrix.from_json(load_json(args.gram))
-    if args.mode == "int":
-        if M.counts is None:
-            raise ParameterError(
-                "integer mode needs integer entries; regenerate with gram --arithmetic integer")
-        inst = csp_mod.reduce_symmetric(M, args.r, args.k, "integer")
-    else:
-        inst = csp_mod.reduce_symmetric(M, args.r, args.k, "boolean")
+    mode = {"int": "integer", "bool": "boolean"}[args.mode]
+    inst = csp_mod.reduce_symmetric(M, args.r, args.k, mode)
     if args.solver == "exact":
         assignment = csp_mod.solve_exact(inst, budget=args.budget)
     else:
@@ -200,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", required=True, help="CSV of the m x d matrix")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eta", type=float, default=0.25)
     p.add_argument("--c-heavy", type=float, default=6.0)
     p.add_argument("--anchors", type=int, default=None, help="anchor rows; m uses all rows")
     p.add_argument("--seed", type=int, default=0)

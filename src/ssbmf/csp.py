@@ -86,7 +86,8 @@ def reduce_symmetric(M: GramMatrix, r: int, k: int,
     the integer entry, or its positivity indicator in boolean mode."""
     if mode == "integer":
         if M.counts is None:
-            raise ParameterError("integer mode needs the integer Gram entries")
+            raise ParameterError("integer mode needs integer entries; "
+                                 "regenerate with gram --arithmetic integer")
         targets = np.asarray(M.counts, dtype=np.int64)
         if targets.min() < 0 or targets.max() > k:
             raise ParameterError("integer entries must lie in {0..k}")

@@ -152,10 +152,7 @@ class SelectionMatrix:
         return cls(m=m, r=r, k=k, rows=rows)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.dense():
-                writer.writerow(row.tolist())
+        save_csv(self.dense().tolist(), path)
 
 
 @dataclass(frozen=True)
@@ -240,10 +237,7 @@ class GramMatrix:
         data = self.dense() if arithmetic == "boolean" else self.counts
         if data is None:
             raise ParameterError("integer entries were not computed for this matrix")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in data:
-                writer.writerow(np.asarray(row).tolist())
+        save_csv(np.asarray(data).tolist(), path)
 
 
 def sample_k_subset(rng: np.random.Generator, r: int, k: int) -> tuple:
@@ -303,38 +297,39 @@ def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:
     return GramMatrix(m=W.m, bits=bits, counts=counts)
 
 
-def factorization_error(M: GramMatrix, W: SelectionMatrix,
-                        arithmetic: str = "boolean",
+def factorization_error(M: GramMatrix, W: SelectionMatrix, *,
                         off_diagonal_only: bool = False) -> int:
-    """Number of entries where M differs from gram(W).
+    """Number of Boolean entries where M differs from gram(W).
 
     Symmetric disagreements are double-counted (full-matrix L0); pass
-    ``off_diagonal_only`` to drop the forced diagonal.
+    ``off_diagonal_only`` to drop the forced diagonal.  gram(W) is compared
+    chunk by chunk and never held whole.
     """
     if M.m != W.m:
         raise DimensionError(f"M is {M.m}x{M.m} but W has {W.m} rows")
-    if arithmetic == "boolean":
-        # Compared chunk by chunk, so gram(W) is never held whole.
-        total = 0
-        for lo, hi, rows in _gram_rows(W):
-            total += int(np.bitwise_count(rows ^ M.bits[lo:hi]).sum())
-        if off_diagonal_only:
-            # gram(W) has a unit diagonal: its disagreements are M's diagonal zeros.
-            total -= sum(1 - M.entry(a, a) for a in range(M.m))
-        return total
-    G = gram(W, arithmetic)
-    if M.counts is None:
-        raise ParameterError("M has no integer entries")
-    diff = np.asarray(M.counts) != G.counts
+    total = 0
+    for lo, hi, rows in _gram_rows(W):
+        total += int(np.bitwise_count(rows ^ M.bits[lo:hi]).sum())
     if off_diagonal_only:
-        np.fill_diagonal(diff, False)
-    return int(diff.sum())
+        # gram(W) has a unit diagonal: its disagreements are M's diagonal zeros.
+        total -= sum(1 - M.entry(a, a) for a in range(M.m))
+    return total
 
 
 def save_json(obj: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def save_csv(rows, path) -> None:
+    """Rows of values as CSV (excel dialect, CRLF line ends) to a path or an
+    open text file."""
+    if hasattr(path, "write"):
+        csv.writer(path).writerows(rows)
+    else:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def load_json(path) -> dict:

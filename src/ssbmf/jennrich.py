@@ -42,7 +42,6 @@ class RecoveredFactors:
     W_hat: SelectionMatrix
     success: bool
     residual: int
-    permutation: list = None
     failure: str = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -54,8 +53,6 @@ class RecoveredFactors:
             out["stages"] = dict(self.diagnostics["stages"])
             if "fallback_rows" in self.diagnostics:
                 out["fallback_rows"] = self.diagnostics["fallback_rows"]
-        if self.permutation is not None:
-            out["permutation"] = list(self.permutation)
         if self.failure is not None:
             out["failure"] = self.failure
         return out
@@ -257,7 +254,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
                                 failure=str(exc), diagnostics=diagnostics)
 
     with _stage(stages, "verify"):
-        residual = factorization_error(M, W_hat, "boolean")
+        residual = factorization_error(M, W_hat)
     diagnostics["seconds"] = time.perf_counter() - start
     return RecoveredFactors(W_hat=W_hat, success=residual == 0,
                             residual=residual,

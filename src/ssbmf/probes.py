@@ -122,13 +122,18 @@ def rank_exact(matrix) -> int:
 def rank_report(W: SelectionMatrix, primes=(), seed: int = 0) -> RankReport:
     """Ranks over F2, each requested prime modulus, and the rationals.
 
-    The rational rank is the max over three random primes from the pool (a
+    Each requested modulus must be a prime p < 2^31.5 (ParameterError).  The
+    rational rank is the max over three random primes from the pool (a
     certified lower bound, computed until one is full); when that is not
     full and r <= 200, it is certified exact by fraction-free elimination.
     """
+    primes = [int(q) for q in primes]
+    for q in primes:
+        if not 2 <= q <= 3037000499 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+            raise ParameterError(f"modulus {q} is not a prime below 2^31.5")
     dense = W.dense()
     f2 = rank_f2(W)
-    modq = {int(q): rank_modp(dense, int(q)) for q in primes}
+    modq = {q: rank_modp(dense, q) for q in primes}
     picks = _rng(seed, 0xfa11).choice(len(_PRIME_POOL), size=3, replace=False)
     pool, full, real = [_PRIME_POOL[int(i)] for i in picks], min(W.m, W.r), 0
     for p in pool:  # no rank exceeds full
@@ -207,11 +212,14 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
                                seed: int = 0, envelope_const: float = 3.0) -> dict:
     """Monte-Carlo max-atom estimate of <w, x> over uniform k-sparse w.
 
-    ``q`` is a modulus or "real".  Reports whether the estimate stays below
-    envelope_const * sqrt(r / (s k)) for the measured non-fibre size s.
+    ``q`` is "real" or an integer modulus >= 2 (a digit string too).
+    Reports whether the estimate stays below envelope_const * sqrt(r / (s k))
+    for the measured non-fibre size s.
     """
     if samples < 1:
         raise ParameterError("need samples >= 1")
+    if q != "real" and not (str(q).isdigit() and int(q) >= 2):
+        raise ParameterError(f"q must be 'real' or an integer >= 2, got {q!r}")
     x = np.asarray(x)
     if x.shape != (r,):
         raise ParameterError(f"expected a length-{r} vector")

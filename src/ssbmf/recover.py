@@ -14,13 +14,12 @@ followed by sqrt of the clamped q_hat to obtain magnitudes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, RankDeficiencyError
-from .instance import GramMatrix, SelectionMatrix, gen_selection_matrix, gram
+from .instance import GramMatrix, SelectionMatrix, gen_selection_matrix, gram, save_csv
 from .jennrich import RecoverConfig, RecoveredFactors, tensor_recover
 
 
@@ -44,10 +43,7 @@ class Dataset:
         return self.X.shape[1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.X:
-                writer.writerow([repr(float(v)) for v in row])
+        save_csv(self.X.tolist(), path)
 
 
 @dataclass
@@ -68,16 +64,6 @@ class SyntheticDataset:
             raise ParameterError("synthetic data must be finite and nonnegative")
         if self.Y is not None and not np.allclose(self.Z, np.abs(self.Y)):
             raise ParameterError("Z must equal |Y| entrywise")
-
-
-@dataclass
-class HeavyRecoveryConfig:
-    eta: float = 0.25      # target relative error
-    c_heavy: float = 6.0   # heaviness threshold multiplier on k/r
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.c_heavy <= 0:
-            raise ParameterError("eta and c_heavy must be positive")
 
 
 def gen_instahide(X: Dataset, m: int, k: int, seed: int):
@@ -102,17 +88,15 @@ def expected_square_inner(p, r: int, k: int) -> float:
             + k * (k - 1) / (r * (r - 1)) * psum ** 2)
 
 
-def get_heavy_coordinates(W: SelectionMatrix, z,
-                          cfg: HeavyRecoveryConfig = None) -> np.ndarray:
+def get_heavy_coordinates(W: SelectionMatrix, z) -> np.ndarray:
     """Magnitude estimates for the coordinates of p from z = |W p|.
 
-    Accurate (within 1 +- eta) for coordinates whose magnitude is at least
-    c_heavy * (k/r) times the total absolute mass, once m is large enough.
-    ``z`` may also be an (m, d) matrix |W P|; column j of the (r, d) result
-    is then the estimate for column j of P.
+    Accurate within 1 +- eta for coordinates whose magnitude is at least
+    c_heavy * (k/r) times the total absolute mass, once m is large enough
+    for eta: eta sizes m and is not an input.  ``z`` may also be an (m, d)
+    matrix |W P|; column j of the (r, d) result is then the estimate for
+    column j of P.
     """
-    if cfg is None:
-        cfg = HeavyRecoveryConfig()
     r, k, m = W.r, W.k, W.m
     if r < 2 * k or r < 3:
         raise ParameterError(f"need r >= 2k and r >= 3, got r={r} k={k}")
@@ -128,16 +112,17 @@ def get_heavy_coordinates(W: SelectionMatrix, z,
 
 
 def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,
-                    cfg: HeavyRecoveryConfig = None,
-                    recover_config: RecoverConfig = None):
+                    c_heavy: float = 6.0, recover_config: RecoverConfig = None):
     """Attack pipeline: factor M, then estimate each coordinate column.
 
     Returns (Dataset of magnitude estimates, report dict).  The report
-    carries the factorization outcome and a per-entry heaviness mask based
-    on the estimated column masses.
+    carries the factorization outcome and a per-entry heaviness mask: an
+    estimate is heavy when it is at least c_heavy * (k/r) times its column's
+    estimated mass.  The estimates are within 1 +- eta once m is large
+    enough for eta; eta sizes m and is not an input.
     """
-    if cfg is None:
-        cfg = HeavyRecoveryConfig()
+    if not c_heavy > 0:
+        raise ParameterError(f"c_heavy must be positive, got {c_heavy}")
     Z = synthetic.Z
     if Z.ndim != 2 or Z.shape[0] != M.m:
         raise ParameterError(f"synthetic dataset has shape {Z.shape}, expected {M.m} rows")
@@ -145,10 +130,10 @@ def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,
     if not factors.success:
         return None, {"success": False, "failure": factors.failure,
                       "factorization": factors.report()}
-    X_hat = get_heavy_coordinates(factors.W_hat, Z, cfg)
+    X_hat = get_heavy_coordinates(factors.W_hat, Z)
     masses = np.abs(X_hat).sum(axis=0)
     with np.errstate(invalid="ignore"):
-        heavy = np.abs(X_hat) >= cfg.c_heavy * (k / r) * masses[None, :]
+        heavy = np.abs(X_hat) >= c_heavy * (k / r) * masses[None, :]
     report = {"success": True, "factorization": factors.report(),
               "heavy_mask": heavy.tolist()}
     return Dataset(X=X_hat), report

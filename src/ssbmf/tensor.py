@@ -31,9 +31,8 @@ class IntersectionTensor:
     on demand from the Gram matrix.
     """
 
-    def __init__(self, m, k, block=None, indices=None, entry_fn=None):
+    def __init__(self, m, block=None, indices=None, entry_fn=None):
         self.m = m
-        self.k = k
         self.block = block
         self.indices = tuple(indices) if indices is not None else None
         self._entry_fn = entry_fn
@@ -102,7 +101,7 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
         return val
 
     if mode == "lazy":
-        return IntersectionTensor(m, k, entry_fn=entry_fn)
+        return IntersectionTensor(m, entry_fn=entry_fn)
     if mode != "anchored":
         raise ParameterError(f"unknown mode {mode!r}")
     if anchors is None:
@@ -123,7 +122,7 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     if bad.any():
         i, j, l = np.argwhere(bad)[0]
         raise InconsistencyError((idx[i], idx[j], idx[l]), int(block[i, j, l]))
-    return IntersectionTensor(m, k, block=block, indices=idx, entry_fn=entry_fn)
+    return IntersectionTensor(m, block=block, indices=idx, entry_fn=entry_fn)
 
 
 def oracle_tensor(W: SelectionMatrix, materialize: bool = False) -> IntersectionTensor:
@@ -136,5 +135,5 @@ def oracle_tensor(W: SelectionMatrix, materialize: bool = False) -> Intersection
     if materialize:
         dense = W.dense().astype(np.int32)
         block = np.einsum("ai,bi,ci->abc", dense, dense, dense).astype(np.int16)
-        return IntersectionTensor(W.m, W.k, block=block, indices=range(W.m), entry_fn=entry_fn)
-    return IntersectionTensor(W.m, W.k, entry_fn=entry_fn)
+        return IntersectionTensor(W.m, block=block, indices=range(W.m), entry_fn=entry_fn)
+    return IntersectionTensor(W.m, entry_fn=entry_fn)

@@ -181,3 +181,50 @@ def test_bench_defaults_to_the_suggested_sample_size(capsys):
     assert out["suggested_m"] == 6151
     assert out["recover_success"] is True
     assert out["recover_fallback_rows"] >= 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "rank", "--in", "w.json", "--primes", "4"],
+    ["probe", "rank", "--in", "w.json", "--primes", "6"],
+    ["probe", "rank", "--in", "w.json", "--primes", "1"],
+    ["probe", "rank", "--in", "w.json", "--primes", "-5"],
+    ["probe", "rank", "--in", "w.json", "--primes", "0"],
+    ["probe", "rank", "--in", "w.json", "--primes", "3", "3037000507"],
+    ["probe", "anticoncentration", "--q", "0"],
+    ["probe", "anticoncentration", "--q", "1"],
+    ["probe", "anticoncentration", "--q=-3"],
+], ids=["rank-4", "rank-6", "rank-1", "rank-minus-5", "rank-0", "rank-above-bound",
+        "q-0", "q-1", "q-minus-3"])
+def test_probe_moduli_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "w.json").write_text(json.dumps(W_CYCLE))
+    argv = [str(tmp_path / a) if a == "w.json" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_recover_rejects_non_positive_c_heavy(tmp_path, capsys):
+    (tmp_path / "g.json").write_text(json.dumps(G_CYCLE))
+    (tmp_path / "z.csv").write_text("1,2\n1,2\n1,2\n1,2\n")
+    assert main(["recover", "--gram", str(tmp_path / "g.json"), "--synthetic",
+                 str(tmp_path / "z.csv"), "--r", "4", "--k", "2", "--c-heavy", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: c_heavy")
+
+
+@pytest.mark.parametrize("fmt, stdout, file", [
+    ("json", '{"first_violation": null, "k": 5, "ok": true, "r": 32}\n',
+     '{\n "first_violation": null,\n "k": 5,\n "ok": true,\n "r": 32\n}\n'),
+    ("csv", "first_violation,\r\nk,5\r\nok,True\r\nr,32\r\n",
+     "first_violation,\r\nk,5\r\nok,True\r\nr,32\r\n"),
+    ("pretty", "first_violation: None\nk: 5\nok: True\nr: 32\n",
+     "first_violation: None\nk: 5\nok: True\nr: 32\n"),
+], ids=["json", "csv", "pretty"])
+def test_report_format_applies_to_stdout_and_files(fmt, stdout, file, tmp_path, capsys):
+    argv = ["probe", "krawtchouk", "--r", "32", "--k", "5", "--report", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == file.encode()

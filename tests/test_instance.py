@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbmf import (DimensionError, ParameterError, SelectionMatrix,
-                   factorization_error, gen_selection_matrix, gram,
-                   invert_fraction, mu_table, split_seed, zero_cooccurrence)
+                   factorization_error, gen_selection_matrix, gram, mu_table,
+                   split_seed, zero_cooccurrence)
 from ssbmf.cli import main
 from ssbmf.instance import GramMatrix
-from ssbmf.mu import union_block
+from ssbmf.mu import invert_fraction, union_block
 
 
 def brute_gram(rows, boolean=True):

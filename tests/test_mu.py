@@ -5,10 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ssbmf import (ParameterError, gen_selection_matrix, gram, invert_fraction,
-                   mu_table, required_sample_size, zero_cooccurrence)
+from ssbmf import (ParameterError, gen_selection_matrix, gram, mu_table,
+                   required_sample_size, zero_cooccurrence)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import invert_counts, union_block
+from ssbmf.mu import invert_counts, invert_fraction, union_block
 
 
 def all_subsets_matrix(r, k):

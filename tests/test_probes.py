@@ -192,3 +192,34 @@ def test_anticoncentration_validation():
         anticoncentration_estimate(np.zeros(3), 4, 2)
     with pytest.raises(ParameterError):
         anticoncentration_estimate(np.zeros(4), 4, 2, samples=0)
+
+
+@pytest.mark.parametrize("q", [4, 6, 1, -5, 0, 3037000499, 3037000507])
+def test_rank_report_rejects_moduli_that_are_not_primes_below_the_bound(q):
+    # Z_q is a field only for prime q, and rank_modp's int64 products need
+    # q < 2^31.5; 3037000507 is the first prime above that bound.
+    W = gen_selection_matrix(20, 6, 2, seed=1)
+    with pytest.raises(ParameterError, match="not a prime"):
+        rank_report(W, primes=[3, q])
+
+
+def test_rank_report_accepts_the_largest_prime_below_the_bound():
+    W = gen_selection_matrix(160, 40, 3, seed=4)
+    report = rank_report(W, primes=[2, 3037000493], seed=0)
+    assert set(report.rank_modq) == {2, 3037000493}
+    assert report.rank_modq[3037000493] == report.rank_real == 40
+
+
+@pytest.mark.parametrize("q", [0, 1, -3, "1", "-3", "2.5", "abc", 2.5, True],
+                         ids=["0", "1", "-3", "str-1", "str--3", "str-2.5", "str-abc",
+                              "float-2.5", "bool"])
+def test_anticoncentration_rejects_moduli_below_two_and_non_integers(q):
+    with pytest.raises(ParameterError, match="integer >= 2"):
+        anticoncentration_estimate(np.arange(10), 10, 3, q=q, samples=50)
+
+
+@pytest.mark.parametrize("q", [2, "2", 7, "7", np.int64(7)],
+                         ids=["2", "str-2", "7", "str-7", "int64-7"])
+def test_anticoncentration_accepts_integer_moduli_and_digit_strings(q):
+    want = anticoncentration_estimate(np.arange(10), 10, 3, q=int(q), samples=500, seed=1)
+    assert anticoncentration_estimate(np.arange(10), 10, 3, q=q, samples=500, seed=1) == want
