@@ -15,7 +15,7 @@ from .instance import (GramMatrix, SelectionMatrix, factorization_error,
 from .jennrich import (RecoverConfig, RecoveredFactors, extend_from_anchors,
                        jennrich_decompose, match_columns, round_boolean,
                        tensor_recover)
-from .mu import MuTable, mu_table, required_sample_size, zero_cooccurrence
+from .mu import MuTable, mu_table, required_sample_size
 from .recover import (Dataset, SyntheticDataset, expected_square_inner,
                       gen_instahide, get_heavy_coordinates, recover_dataset)
 from .tensor import IntersectionTensor, build_tensor, contract, oracle_tensor

@@ -82,7 +82,7 @@ def _cmd_recover(args) -> int:
     Z = np.loadtxt(args.synthetic, delimiter=",", ndmin=2)
     synthetic = SyntheticDataset(Z=Z)
     config = RecoverConfig(anchors=args.anchors, seed=args.seed)
-    dataset, report = recover_dataset(M, synthetic, args.r, args.k, args.c_heavy, config)
+    dataset, report = recover_dataset(M, synthetic, args.r, args.k, recover_config=config)
     if dataset is not None and args.out:
         dataset.to_csv(args.out)
     printable = {"success": report["success"]}
@@ -147,11 +147,13 @@ def _cmd_bench(args) -> int:
         factorization_error(M, W)
     result = tensor_recover(M, args.r, args.k, RecoverConfig(seed=args.seed))
     timings["recover_success"] = result.success
-    if "fallback_rows" in result.diagnostics:
-        timings["recover_fallback_rows"] = result.diagnostics["fallback_rows"]
+    for key in ("fallback_rows", "eigen_gap"):
+        if key in result.diagnostics:
+            timings[f"recover_{key}"] = result.diagnostics[key]
     for stage, seconds in result.diagnostics["stages"].items():
         timings[f"recover_{stage}_seconds"] = seconds
-    print(json.dumps({k: (round(v, 4) if isinstance(v, float) else v)
+    # Four significant digits, so that a small eigen-gap does not print as 0.0.
+    print(json.dumps({k: (float(f"{v:.4g}") if isinstance(v, float) else v)
                       for k, v in timings.items()}, sort_keys=True))
     return EXIT_OK
 
@@ -192,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", required=True, help="CSV of the m x d matrix")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c-heavy", type=float, default=6.0)
     p.add_argument("--anchors", type=int, default=None, help="anchor rows; m uses all rows")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -233,12 +233,6 @@ class GramMatrix:
                                  "integers, positive exactly where the Boolean entry is 1")
         return cls(m=m, bits=bits, counts=counts)
 
-    def to_csv(self, path, arithmetic: str = "boolean") -> None:
-        data = self.dense() if arithmetic == "boolean" else self.counts
-        if data is None:
-            raise ParameterError("integer entries were not computed for this matrix")
-        save_csv(np.asarray(data).tolist(), path)
-
 
 def sample_k_subset(rng: np.random.Generator, r: int, k: int) -> tuple:
     """Floyd's algorithm: uniform k-subset of [0, r)."""

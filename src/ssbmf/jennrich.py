@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DegeneracyError, DimensionError, ExtensionError,
                      ParameterError, RankDeficiencyError, RoundingError,
                      SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, _rng, _row_chunks,
+from .instance import (GramMatrix, SelectionMatrix, _rng, _unpack,
                        factorization_error)
 from .mu import MuTable, mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
@@ -51,8 +51,9 @@ class RecoveredFactors:
         if include_timing and "seconds" in self.diagnostics:
             out["seconds"] = self.diagnostics["seconds"]
             out["stages"] = dict(self.diagnostics["stages"])
-            if "fallback_rows" in self.diagnostics:
-                out["fallback_rows"] = self.diagnostics["fallback_rows"]
+            for key in ("fallback_rows", "eigen_gap"):
+                if key in self.diagnostics:
+                    out[key] = self.diagnostics[key]
         if self.failure is not None:
             out["failure"] = self.failure
         return out
@@ -136,10 +137,11 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
 
     Decode (COMP, from group testing): column j is a candidate for row a
     when every anchor holding j meets S_a, as column a of M's anchor rows
-    tells (M is symmetric).  S_a is among the candidates, so a row with
-    exactly k of them is S_a.  Each other row (``diagnostics["fallback_rows"]``
-    counts them) is the rounded least-squares solution of (anchor block) x = c
-    for c_ab = 2k - |S_a cup S_b| (mu-inverted from M), re-checked exactly; a
+    tells (M is symmetric), read as one AND of their packed words per j.
+    S_a is among the candidates, so a row with exactly k of them is S_a.
+    Each other row (``diagnostics["fallback_rows"]`` counts them) is the
+    rounded least-squares solution of (anchor block) x = c for
+    c_ab = 2k - |S_a cup S_b| (mu-inverted from M), re-checked exactly; a
     failing row raises ExtensionError naming the lowest such row.
     """
     anchor_block = np.asarray(anchor_block, dtype=float)
@@ -154,10 +156,10 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     if not sparse.all():
         a = int(anchor_indices[np.argmin(sparse)])
         raise ExtensionError(f"anchor row {a} is not {k}-sparse")
-    misses = 1 - M.dense(anchor_indices)  # (n0, m): anchor b misses S_a
-    held32 = held.astype(np.float32)  # sums are at most n0: the products are exact
-    rounded = np.concatenate([misses[:, lo:hi].T.astype(np.float32) @ held32 == 0
-                              for lo, hi in _row_chunks(M.m, n0)])
+    # Bit a of anchor row b is M[b, a]: the AND of the anchor rows holding j
+    # (at least one, by the rank check) marks the rows with candidate j.
+    rounded = _unpack(np.stack([np.bitwise_and.reduce(M.bits[anchor_indices[held[:, j]]])
+                                for j in range(r)]), M.m).T == 1
     rounded[anchor_indices] = held
     rest = np.flatnonzero(np.count_nonzero(rounded, axis=1) != k)  # increasing
     if diagnostics is not None:
@@ -239,7 +241,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
         with _stage(stages, "bootstrap"):
             rng = _rng(config.seed, 0x5eed)
             indices = sorted(rng.choice(m, size=n0, replace=False).tolist())
-            T = build_tensor(M, r, k, anchors=indices, table=table)
+            T = build_tensor(M, r, k, anchors=indices)
         with _stage(stages, "decompose"):
             vectors = jennrich_decompose(T, r, seed=config.seed, diagnostics=diagnostics)
         with _stage(stages, "round"):

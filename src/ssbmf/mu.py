@@ -64,15 +64,6 @@ def invert_fraction(frac, table: MuTable) -> int:
     return best_t
 
 
-def zero_cooccurrence(M: GramMatrix, rows) -> int:
-    """Number of columns that are zero in every one of the given rows."""
-    rows = list(rows)
-    for a in rows:
-        if not 0 <= a < M.m:
-            raise IndexError(f"row {a} out of range for m={M.m}")
-    return M.m - int(np.bitwise_count(np.bitwise_or.reduce(M.bits[rows])).sum())
-
-
 def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None, extra=None,
                 weights=None) -> np.ndarray:
     """Zero co-occurrence counts of the pairs rows_a x rows_b of packed rows

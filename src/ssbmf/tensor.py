@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, InconsistencyError, ParameterError
 from .instance import _WORD, GramMatrix, SelectionMatrix, _pack, _unpack
-from .mu import MuTable, invert_counts, mu_table, zero_cooccurrence, zero_counts
+from .mu import invert_counts, mu_table, zero_counts
 
 
 class IntersectionTensor:
@@ -79,22 +79,25 @@ def _distinct_columns(M: GramMatrix, rows):
 
 
 def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
-                 anchors=None, table: MuTable = None) -> IntersectionTensor:
+                 anchors=None) -> IntersectionTensor:
     """Bootstrap the intersection tensor from the Boolean Gram matrix.
 
     mode="anchored" materializes the subtensor on the given anchor rows
     (anchors=range(m) gives the whole tensor, memory m^3); mode="lazy" only
-    supports per-entry access.  Entries outside {0..k} raise
-    InconsistencyError.
+    supports per-entry access, each entry counting zeros in the ORs of its
+    three packed rows.  Entries outside {0..k} raise InconsistencyError.
     """
     if M.m < 1:
         raise ParameterError("empty Gram matrix")
-    if table is None:
-        table = mu_table(r, k)
+    table = mu_table(r, k)
     m = M.m
 
     def entry_fn(a, b, c):
-        counts = [zero_cooccurrence(M, rows) for rows in ((a, b, c), (a, b), (a, c), (b, c))]
+        if not all(0 <= i < m for i in (a, b, c)):  # numpy would wrap negatives
+            raise IndexError(f"entry ({a},{b},{c}) out of range for m={m}")
+        A, B, C = M.bits[[a, b, c]]
+        unions = np.stack([A | B | C, A | B, A | C, B | C])
+        counts = m - np.bitwise_count(unions).sum(axis=1, dtype=np.int64)
         val = _pie(*invert_counts(counts, m, table).tolist(), k)
         if not 0 <= val <= k:
             raise InconsistencyError((a, b, c), val)

@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import ssbmf
 
@@ -14,7 +16,6 @@ PUBLIC_NAMES = [
     "gen_selection_matrix", "get_heavy_coordinates", "gram", "jennrich_decompose",
     "match_columns", "mu_table", "oracle_tensor", "recover_dataset",
     "required_sample_size", "round_boolean", "split_seed", "tensor_recover",
-    "zero_cooccurrence",
 ]
 
 
@@ -24,3 +25,10 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(ssbmf).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC_NAMES
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from ssbmf import (DimensionError, ParameterError, SelectionMatrix,
                    factorization_error, gen_selection_matrix, gram, mu_table,
-                   split_seed, zero_cooccurrence)
+                   split_seed)
 from ssbmf.cli import main
 from ssbmf.instance import GramMatrix
-from ssbmf.mu import invert_fraction, union_block
+from ssbmf.mu import invert_fraction, union_block, zero_counts
 
 
 def brute_gram(rows, boolean=True):
@@ -239,7 +239,8 @@ def test_packed_kernels_match_brute_force(m):
     for size in (1, 2, 3):
         for _ in range(4):
             rows = rng.integers(0, m, size=size).tolist()
-            assert zero_cooccurrence(M, rows) == int(zero[rows].all(axis=0).sum())
+            a, b, *extra = rows if size > 1 else rows * 2  # extra: the third row
+            assert zero_counts(M.bits, m, [a], [b], *extra)[0, 0] == int(zero[rows].all(axis=0).sum())
     table = mu_table(r, k)
     rows_a = rng.integers(0, m, size=5).tolist()
     block = union_block(M, table, rows_a)

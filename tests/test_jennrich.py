@@ -194,6 +194,44 @@ def test_decode_agrees_with_least_squares_reference(m, r, k, n0, seed):
     assert np.array_equal(got[ok], extended[ok])
 
 
+@pytest.mark.parametrize("m, n0", [(1, 1), (63, 40), (64, 64), (65, 65), (130, 20), (130, 100)])
+def test_decode_candidates_match_dense_brute_force(m, n0, monkeypatch):
+    # Sizes around the word boundary, at most and more than 64 anchors, on a
+    # Gram matrix with 5% of its bits flipped so that candidate counts vary.
+    r, k = (1, 1) if m == 1 else (8, 2)
+    W = gen_selection_matrix(m, r, k, seed=m + n0)
+    rng = np.random.default_rng(m + n0)
+    dense = gram(W).dense() ^ (rng.random((m, m)) < 0.05)
+    bits = np.packbits(dense, axis=1, bitorder="little")
+    words = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    M = GramMatrix(m=m, bits=words.view("<u8"))
+    anchors = sorted(rng.choice(m, size=n0, replace=False).tolist())
+    block = W.dense()[anchors]
+    assert np.linalg.matrix_rank(block) == r
+    # Column j is a candidate for row a when M[b, a] = 1 for every anchor b holding j.
+    candidates = np.array([[all(dense[b, a] for b, row in zip(anchors, block) if row[j])
+                            for j in range(r)] for a in range(m)], dtype=np.int8)
+    candidates[anchors] = block
+    undecided = np.flatnonzero(candidates.sum(axis=1) != k)
+    # The fallback solve gets the exact unions of the support {0..k-1}.
+    fallback = np.zeros(r, dtype=np.int8)
+    fallback[:k] = 1
+    calls = []
+
+    def union_block(M_, table, rows_a, rows_b):
+        calls.append(list(rows_a))
+        return 2 * k - np.tile(block @ fallback, (len(rows_a), 1))
+
+    monkeypatch.setattr("ssbmf.jennrich.union_block", union_block)
+    diagnostics = {}
+    W_hat = extend_from_anchors(block, anchors, M, mu_table(r, k), k, diagnostics)
+    assert calls == [undecided.tolist()]
+    assert diagnostics["fallback_rows"] == len(undecided)
+    candidates[undecided] = fallback
+    assert np.array_equal(W_hat.dense(), candidates)
+
+
 def test_extend_rejects_rank_deficient_block():
     table = mu_table(6, 2)
     W = gen_selection_matrix(100, 6, 2, seed=1)
@@ -284,6 +322,8 @@ def test_recovered_report_shape():
     timed = res.report()
     assert "seconds" in timed
     assert timed["fallback_rows"] == res.diagnostics["fallback_rows"] >= 0
+    assert "eigen_gap" not in report
+    assert timed["eigen_gap"] == res.diagnostics["eigen_gap"] > 0
     assert list(timed["stages"]) == ["bootstrap", "decompose", "round", "extend", "verify"]
     assert all(s >= 0 for s in timed["stages"].values())
     assert sum(timed["stages"].values()) <= timed["seconds"]

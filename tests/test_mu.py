@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ssbmf import (ParameterError, gen_selection_matrix, gram, mu_table,
-                   required_sample_size, zero_cooccurrence)
+                   required_sample_size)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import invert_counts, invert_fraction, union_block
+from ssbmf.mu import invert_counts, invert_fraction, union_block, zero_counts
 
 
 def all_subsets_matrix(r, k):
@@ -96,13 +96,14 @@ def test_zero_cooccurrence_against_sets():
     dense = M.dense()
     for rows in [(0,), (1, 4), (0, 3, 7)]:
         want = sum(1 for j in range(12) if all(dense[a, j] == 0 for a in rows))
-        assert zero_cooccurrence(M, rows) == want
+        a, b, *extra = rows if len(rows) > 1 else rows * 2  # extra: the third row
+        assert zero_counts(M.bits, M.m, [a], [b], *extra)[0, 0] == want
 
 
 def test_zero_cooccurrence_bad_row():
     M = gram(gen_selection_matrix(5, 4, 2, seed=0))
     with pytest.raises(IndexError):
-        zero_cooccurrence(M, (7,))
+        zero_counts(M.bits, M.m, [7], [7])
 
 
 def test_pairwise_union_population_exact():

@@ -68,9 +68,8 @@ def test_build_lazy_matches_full():
     r, k = 8, 2
     W = all_subsets_matrix(r, k)
     M = gram(W)
-    table = mu_table(r, k)
-    full = build_tensor(M, r, k, anchors=range(W.m), table=table)
-    lazy = build_tensor(M, r, k, mode="lazy", table=table)
+    full = build_tensor(M, r, k, anchors=range(W.m))
+    lazy = build_tensor(M, r, k, mode="lazy")
     for a in (0, 3, 9):
         for b in (1, 5, 14):
             for c in (2, 7, 11):
@@ -164,6 +163,15 @@ def test_anchored_entry_outside_block_falls_back():
     T = build_tensor(M, 10, 2, anchors=[0, 1, 2, 3])
     O = oracle_tensor(W)
     assert T.entry(0, 1, 100) == O.entry(0, 1, 100)
+
+
+@pytest.mark.parametrize("a", [-1, 300])
+def test_lazy_entry_rejects_rows_out_of_range(a):
+    # -1 would silently read row m - 1 of the packed words.
+    T = build_tensor(gram(gen_selection_matrix(300, 8, 2, seed=1)), 8, 2, mode="lazy")
+    for triple in ((a, 0, 1), (0, a, 1), (0, 1, a)):
+        with pytest.raises(IndexError, match="out of range for m=300"):
+            T.entry(*triple)
 
 
 def test_inconsistency_raised():
