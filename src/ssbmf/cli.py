@@ -20,10 +20,10 @@ import numpy as np
 from . import csp as csp_mod
 from . import probes
 from .errors import SsbmfError, ParameterError
-from .instance import (GramMatrix, SelectionMatrix, factorization_error,
+from .instance import (GramMatrix, SelectionMatrix, _rng, factorization_error,
                        gen_selection_matrix, gram, load_json, save_csv, save_json)
-from .jennrich import RecoverConfig, _stage, tensor_recover
-from .mu import mu_table, required_sample_size
+from .jennrich import REPORTED_DIAGNOSTICS, RecoverConfig, _stage, tensor_recover
+from .mu import required_sample_size
 from .recover import SyntheticDataset, recover_dataset
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def _cmd_probe(args) -> int:
         if args.infile is None:
             raise ParameterError("probe rank needs --in, a selection-matrix JSON file")
         W = SelectionMatrix.from_json(load_json(args.infile))
-        report = probes.rank_report(W, primes=args.primes, seed=args.seed)
+        report = probes.rank_report(W, primes=args.primes)
         obj = {"rank_f2": report.rank_f2, "rank_real": report.rank_real,
                **{f"rank_mod_{q}": v for q, v in report.rank_modq.items()}}
     elif args.what == "krawtchouk":
@@ -128,8 +128,7 @@ def _cmd_probe(args) -> int:
                "real_ci_low": obj["real"]["ci_low"],
                "real_ci_high": obj["real"]["ci_high"]}
     else:  # anticoncentration
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
-        x = rng.integers(-5, 6, size=args.r)
+        x = _rng(args.seed, 0xc0ef).integers(-5, 6, size=args.r)
         obj = probes.anticoncentration_estimate(
             x, args.r, args.k, q=args.q, samples=args.trials, seed=args.seed)
     _emit(obj, args.out, args.report)
@@ -147,7 +146,7 @@ def _cmd_bench(args) -> int:
         factorization_error(M, W)
     result = tensor_recover(M, args.r, args.k, RecoverConfig(seed=args.seed))
     timings["recover_success"] = result.success
-    for key in ("fallback_rows", "eigen_gap"):
+    for key in REPORTED_DIAGNOSTICS:
         if key in result.diagnostics:
             timings[f"recover_{key}"] = result.diagnostics[key]
     for stage, seconds in result.diagnostics["stages"].items():

@@ -174,6 +174,8 @@ class GramMatrix:
             raise DimensionError(f"expected {self.m} rows of {n_words(self.m)} words")
 
     def entry(self, a: int, b: int) -> int:
+        if not (0 <= a < self.m and 0 <= b < self.m):  # numpy would wrap negatives
+            raise IndexError(f"entry ({a},{b}) out of range for m={self.m}")
         return int(self.bits[a, b >> 6] >> (b & 63)) & 1
 
     def dense(self, rows=None) -> np.ndarray:
@@ -234,21 +236,12 @@ class GramMatrix:
         return cls(m=m, bits=bits, counts=counts)
 
 
-def sample_k_subset(rng: np.random.Generator, r: int, k: int) -> tuple:
-    """Floyd's algorithm: uniform k-subset of [0, r)."""
-    chosen = set()
-    for j in range(r - k, r):
-        t = int(rng.integers(0, j + 1))
-        chosen.add(j if t in chosen else t)
-    return tuple(sorted(chosen))
-
-
 def _floyd_subsets(rng: np.random.Generator, n: int, r: int, k: int) -> np.ndarray:
     """n uniform k-subsets of [0, r) as an unsorted (n, k) array.
 
-    Floyd's algorithm (as in sample_k_subset) on all n rows at once: step s
-    draws column s of every row uniformly from [0, r-k+s] and replaces a
-    value the row already holds by r-k+s.  Working memory is O(n k).
+    Floyd's algorithm on all n rows at once: step s draws column s of every
+    row uniformly from [0, r-k+s] and replaces a value the row already holds
+    by r-k+s.  Working memory is O(n k).
     """
     rows = rng.integers(0, np.arange(r - k + 1, r + 1), size=(n, k))
     for s in range(1, k):

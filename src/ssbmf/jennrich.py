@@ -22,13 +22,14 @@ from .errors import (DegeneracyError, DimensionError, ExtensionError,
                      SsbmfError)
 from .instance import (GramMatrix, SelectionMatrix, _rng, _unpack,
                        factorization_error)
-from .mu import MuTable, mu_table, union_block
+from .mu import mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
 SV_CUTOFF = 1e-8  # relative singular value below which a contraction direction is noise
 GAP_TOL = 1e-6  # relative eigen-gap below which eigenvectors are not determined
 RETRIES = 5  # random contraction pairs tried before a collision is reported
 ROUND_TOL = 0.25  # a scaled entry this far from {0, 1} was not recovered
+REPORTED_DIAGNOSTICS = ("fallback_rows", "eigen_gap")  # carried by timed reports
 
 
 @dataclass
@@ -51,7 +52,7 @@ class RecoveredFactors:
         if include_timing and "seconds" in self.diagnostics:
             out["seconds"] = self.diagnostics["seconds"]
             out["stages"] = dict(self.diagnostics["stages"])
-            for key in ("fallback_rows", "eigen_gap"):
+            for key in REPORTED_DIAGNOSTICS:
                 if key in self.diagnostics:
                     out[key] = self.diagnostics[key]
         if self.failure is not None:
@@ -104,14 +105,11 @@ def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
         if diagnostics is not None:
             diagnostics["retries"] = attempt
             diagnostics["eigen_gap"] = last_gap / scale
-        vectors = []
-        for i in range(r):
-            w = U @ evecs[:, i].real
-            nrm = np.linalg.norm(w)
-            if nrm == 0:
-                raise RankDeficiencyError("zero eigenvector after lifting")
-            vectors.append(w / nrm)
-        return vectors
+        lifted = U @ evecs.real
+        norms = np.linalg.norm(lifted, axis=0)
+        if not norms.all():
+            raise RankDeficiencyError("zero eigenvector after lifting")
+        return list((lifted / norms).T)
     raise DegeneracyError(
         f"eigenvalue gap {last_gap} below tolerance after {RETRIES} retries")
 
@@ -131,8 +129,7 @@ def round_boolean(v) -> np.ndarray:
 
 
 def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
-                        M: GramMatrix, table: MuTable, k: int,
-                        diagnostics: dict = None) -> SelectionMatrix:
+                        M: GramMatrix, k: int, diagnostics: dict = None) -> SelectionMatrix:
     """Fill in the non-anchor rows of W from the recovered anchor block.
 
     Decode (COMP, from group testing): column j is a candidate for row a
@@ -164,7 +161,7 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     rest = np.flatnonzero(np.count_nonzero(rounded, axis=1) != k)  # increasing
     if diagnostics is not None:
         diagnostics["fallback_rows"] = len(rest)
-    counts = 2 * k - union_block(M, table, rest, anchor_indices)
+    counts = 2 * k - union_block(M, mu_table(r, k), rest, anchor_indices)
     extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
     sums = extended.sum(axis=1)
     bad = (sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)
@@ -231,12 +228,11 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
         raise ParameterError(f"invalid r={r}, k={k}")
     m = M.m
     n0 = min(m, max(4 * r, r + 16)) if config.anchors is None else config.anchors
-    if not r <= n0 <= m:
-        raise ParameterError(f"anchor count {n0} outside [r={r}, m={m}]")
+    if not (isinstance(n0, (int, np.integer)) and r <= n0 <= m):
+        raise ParameterError(f"anchor count {n0!r} is not an integer in [r={r}, m={m}]")
     start = time.perf_counter()
     stages = {}
     diagnostics = {"stages": stages}
-    table = mu_table(r, k)
     try:
         with _stage(stages, "bootstrap"):
             rng = _rng(config.seed, 0x5eed)
@@ -247,7 +243,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
         with _stage(stages, "round"):
             block = np.stack([round_boolean(v) for v in vectors], axis=1)
         with _stage(stages, "extend"):
-            W_hat = extend_from_anchors(block, indices, M, table, k, diagnostics)
+            W_hat = extend_from_anchors(block, indices, M, k, diagnostics)
     except SsbmfError as exc:
         if isinstance(exc, (ParameterError, DimensionError)):
             raise

@@ -19,10 +19,11 @@ import numpy as np
 from .errors import ParameterError
 from .instance import SelectionMatrix, _floyd_subsets, _rng, gen_selection_matrix, split_seed
 
-# Fixed pool of 31-bit primes: products of two residues fit in int64, which
-# keeps the modular elimination fully vectorized.
-_PRIME_POOL = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-               2147483549, 2147483543, 2147483497, 2147483489, 2147483477)
+# A 31-bit prime: products of two residues fit in int64, which keeps the
+# modular elimination fully vectorized.
+RANK_PRIME = 2147483647
+WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
+ENVELOPE_CONST = 3.0  # constant of the anti-concentration envelope
 
 
 def krawtchouk(r: int, k: int, lam: int) -> int:
@@ -119,13 +120,13 @@ def rank_exact(matrix) -> int:
     return rank
 
 
-def rank_report(W: SelectionMatrix, primes=(), seed: int = 0) -> RankReport:
+def rank_report(W: SelectionMatrix, primes=()) -> RankReport:
     """Ranks over F2, each requested prime modulus, and the rationals.
 
     Each requested modulus must be a prime p < 2^31.5 (ParameterError).  The
-    rational rank is the max over three random primes from the pool (a
-    certified lower bound, computed until one is full); when that is not
-    full and r <= 200, it is certified exact by fraction-free elimination.
+    rational rank is first the rank mod RANK_PRIME, a lower bound that
+    certifies a full rank; when that is not full and r <= 200, it is
+    certified exact by fraction-free elimination.
     """
     primes = [int(q) for q in primes]
     for q in primes:
@@ -134,21 +135,17 @@ def rank_report(W: SelectionMatrix, primes=(), seed: int = 0) -> RankReport:
     dense = W.dense()
     f2 = rank_f2(W)
     modq = {q: rank_modp(dense, q) for q in primes}
-    picks = _rng(seed, 0xfa11).choice(len(_PRIME_POOL), size=3, replace=False)
-    pool, full, real = [_PRIME_POOL[int(i)] for i in picks], min(W.m, W.r), 0
-    for p in pool:  # no rank exceeds full
-        real = max(real, rank_modp(dense, p))
-        if real == full:
-            break
-    notes = [f"modular primes: {pool}"]
-    if real < full and W.r <= 200:
+    real = rank_modp(dense, RANK_PRIME)
+    notes = [f"modular prime: {RANK_PRIME}"]
+    if real < min(W.m, W.r) and W.r <= 200:
         real = rank_exact(dense)
         notes.append("certified by fraction-free elimination")
     return RankReport(rank_f2=f2, rank_modq=modq, rank_real=real, notes=notes)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -167,10 +164,7 @@ def singularity_experiment(m: int, r: int, k: int, trials: int,
     full = min(m, r)
     hits = {"f2": 0, "real": 0}
     for t in range(trials):
-        # gen and rank_report draw from different child streams of this seed
-        trial_seed = split_seed(seed, t)
-        W = gen_selection_matrix(m, r, k, trial_seed)
-        report = rank_report(W, seed=trial_seed)
+        report = rank_report(gen_selection_matrix(m, r, k, split_seed(seed, t)))
         hits["f2"] += report.rank_f2 == full
         hits["real"] += report.rank_real == full
     out = {"m": m, "r": r, "k": k, "trials": trials}
@@ -209,11 +203,11 @@ def fibre_stats(x) -> tuple:
 
 
 def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000,
-                               seed: int = 0, envelope_const: float = 3.0) -> dict:
+                               seed: int = 0) -> dict:
     """Monte-Carlo max-atom estimate of <w, x> over uniform k-sparse w.
 
     ``q`` is "real" or an integer modulus >= 2 (a digit string too).
-    Reports whether the estimate stays below envelope_const * sqrt(r / (s k))
+    Reports whether the estimate stays below ENVELOPE_CONST * sqrt(r / (s k))
     for the measured non-fibre size s.
     """
     if samples < 1:
@@ -228,7 +222,7 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
     max_atom = int(np.unique(values, return_counts=True)[1].max()) / samples
     largest_fibre, _ = fibre_stats(x.tolist())
     s = r - largest_fibre
-    envelope = (envelope_const * math.sqrt(r / (s * k))) if s > 0 else 1.0
+    envelope = (ENVELOPE_CONST * math.sqrt(r / (s * k))) if s > 0 else 1.0
     return {"max_atom": max_atom, "s": s, "envelope": min(1.0, envelope),
             "within_envelope": max_atom <= min(1.0, envelope) + 1e-12}
 

@@ -118,8 +118,9 @@ def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,
     Returns (Dataset of magnitude estimates, report dict).  The report
     carries the factorization outcome and a per-entry heaviness mask: an
     estimate is heavy when it is at least c_heavy * (k/r) times its column's
-    estimated mass.  The estimates are within 1 +- eta once m is large
-    enough for eta; eta sizes m and is not an input.
+    estimated mass, so no nonzero estimate is heavy when c_heavy * k/r > 1
+    (at 1, only a column's sole nonzero one).  The estimates are within
+    1 +- eta once m is large enough for eta; eta sizes m and is not an input.
     """
     if not c_heavy > 0:
         raise ParameterError(f"c_heavy must be positive, got {c_heavy}")

@@ -138,6 +138,13 @@ def test_probe_subcommands(tmp_path, capsys):
                  "--trials", "500"]) == 0
 
 
+def test_probes_accept_negative_seeds(capsys):
+    assert main(["probe", "anticoncentration", "--r", "10", "--k", "3", "--seed", "-1"]) == 0
+    assert "max_atom" in json.loads(capsys.readouterr().out)
+    assert main(["probe", "singularity", "--m", "8", "--r", "4", "--k", "1",
+                 "--trials", "20", "--seed", "-1"]) == 0
+
+
 def test_recover_subcommand(tmp_path, capsys):
     rng = np.random.Generator(np.random.Philox(key=5))
     from ssbmf import Dataset, gen_instahide

@@ -128,6 +128,16 @@ def test_gram_diagonal_all_one():
     assert all(M.entry(a, a) == 1 for a in range(7))
 
 
+def test_gram_entry_rejects_indices_outside_the_rows():
+    # m = 200 leaves padding bits in the last word; numpy would read one at
+    # b = -1 (wrapped) and at b = 200, and wrap a = -1 to row 199.
+    M = gram(gen_selection_matrix(200, 6, 2, seed=1))
+    assert M.entry(0, 199) == M.dense()[0, 199]
+    for a, b in [(0, -1), (-1, 0), (0, 200), (200, 0)]:
+        with pytest.raises(IndexError, match="out of range"):
+            M.entry(a, b)
+
+
 def test_gram_integer_example():
     W = SelectionMatrix(m=2, r=4, k=2, rows=((0, 1), (0, 1)))
     M = gram(W, "integer")

@@ -65,10 +65,9 @@ def test_round_boolean_sign_invariant():
 def test_extend_from_anchors_exact():
     W = gen_selection_matrix(5000, 10, 2, seed=7)
     M = gram(W)
-    table = mu_table(10, 2)
     anchors = list(range(40))
     block = W.dense()[anchors]
-    W_hat = extend_from_anchors(block, anchors, M, table, 2)
+    W_hat = extend_from_anchors(block, anchors, M, 2)
     assert W_hat.rows == W.rows
 
 
@@ -77,7 +76,7 @@ def test_extend_from_anchors_readme_instance():
     W = gen_selection_matrix(13302, 16, 3, seed=0)
     rng = np.random.Generator(np.random.Philox(key=64))
     anchors = sorted(rng.choice(W.m, size=64, replace=False).tolist())
-    W_hat = extend_from_anchors(W.dense()[anchors], anchors, gram(W), mu_table(16, 3), 3)
+    W_hat = extend_from_anchors(W.dense()[anchors], anchors, gram(W), 3)
     assert W_hat.rows == W.rows
     assert np.array_equal(W_hat.support, W.support)
 
@@ -98,8 +97,7 @@ def test_extend_rejects_non_sparse_extended_row():
     # zero intersections with the anchors, and an all-zero rounded row
     bits = _meeting_every_row(M.bits, [200])
     with pytest.raises(ExtensionError, match="row 200 rounded to sparsity 0"):
-        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits),
-                            mu_table(6, 2), 2)
+        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits), 2)
 
 
 @pytest.mark.parametrize("copy, named", [(300, 200), (100, 100)])
@@ -110,8 +108,7 @@ def test_extend_names_the_lowest_of_equal_failing_rows(copy, named):
     bits = _meeting_every_row(gram(W).bits, [200, copy])
     assert np.array_equal(bits[200], bits[copy])
     with pytest.raises(ExtensionError, match=f"row {named} rounded to sparsity 0"):
-        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits),
-                            mu_table(6, 2), 2)
+        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits), 2)
 
 
 def _least_squares_rows(anchor_block, anchors, M, table, k):
@@ -138,9 +135,9 @@ def _extend_reference(anchor_block, anchors, M, table, k):
     return np.nonzero(dense)[1].reshape(M.m, k).tolist()
 
 
-def _extend_outcome(anchor_block, anchors, M, table, k):
+def _extend_outcome(anchor_block, anchors, M, k):
     try:
-        return extend_from_anchors(anchor_block, anchors, M, table, k).support.tolist()
+        return extend_from_anchors(anchor_block, anchors, M, k).support.tolist()
     except ExtensionError as exc:
         return str(exc)
 
@@ -158,7 +155,7 @@ def test_extend_matches_reference_without_row_classes(m, r, k, n0, seed):
     anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
     block = W.dense()[anchors]
     want = _extend_reference(block, anchors, M, table, k)
-    got = _extend_outcome(block, anchors, M, table, k)
+    got = _extend_outcome(block, anchors, M, k)
     if isinstance(want, list):
         assert got == want
     else:
@@ -178,7 +175,7 @@ def test_decode_agrees_with_least_squares_reference(m, r, k, n0, seed):
     anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
     block = W.dense()[anchors]
     diagnostics = {}
-    W_hat = extend_from_anchors(block, anchors, M, table, k, diagnostics)
+    W_hat = extend_from_anchors(block, anchors, M, k, diagnostics)
     assert np.array_equal(W_hat.support, W.support)
     # The fallback rows are those whose candidate count, taken from W, is not k.
     dense = W.dense().astype(np.int64)
@@ -225,7 +222,7 @@ def test_decode_candidates_match_dense_brute_force(m, n0, monkeypatch):
 
     monkeypatch.setattr("ssbmf.jennrich.union_block", union_block)
     diagnostics = {}
-    W_hat = extend_from_anchors(block, anchors, M, mu_table(r, k), k, diagnostics)
+    W_hat = extend_from_anchors(block, anchors, M, k, diagnostics)
     assert calls == [undecided.tolist()]
     assert diagnostics["fallback_rows"] == len(undecided)
     candidates[undecided] = fallback
@@ -233,14 +230,13 @@ def test_decode_candidates_match_dense_brute_force(m, n0, monkeypatch):
 
 
 def test_extend_rejects_rank_deficient_block():
-    table = mu_table(6, 2)
     W = gen_selection_matrix(100, 6, 2, seed=1)
     M = gram(W)
     block = np.zeros((8, 6))
     block[:, 0] = 1
     block[:, 1] = 1
     with pytest.raises(RankDeficiencyError):
-        extend_from_anchors(block, list(range(8)), M, table, 2)
+        extend_from_anchors(block, list(range(8)), M, 2)
 
 
 def test_extend_rejects_non_sparse_anchor_row():
@@ -249,14 +245,13 @@ def test_extend_rejects_non_sparse_anchor_row():
     block = W.dense()[:30].copy()
     block[0] = 1
     with pytest.raises(ExtensionError):
-        extend_from_anchors(block, list(range(30)), M, mu_table(6, 2), 2)
+        extend_from_anchors(block, list(range(30)), M, 2)
 
 
 def test_extend_needs_enough_anchors():
-    table = mu_table(6, 2)
     M = gram(gen_selection_matrix(20, 6, 2, seed=1))
     with pytest.raises(ParameterError):
-        extend_from_anchors(np.ones((3, 6)), [0, 1, 2], M, table, 2)
+        extend_from_anchors(np.ones((3, 6)), [0, 1, 2], M, 2)
 
 
 def test_match_columns_permutation():
@@ -308,6 +303,16 @@ def test_tensor_recover_parameter_errors_raise():
     for anchors in (0, M.m + 1):
         with pytest.raises(ParameterError):
             tensor_recover(M, 6, 2, RecoverConfig(anchors=anchors))
+
+
+def test_tensor_recover_rejects_non_integer_anchor_counts():
+    M = gram(gen_selection_matrix(200, 6, 2, seed=0))
+    for anchors in (30.0, np.float64(30)):
+        with pytest.raises(ParameterError, match="not an integer"):
+            tensor_recover(M, 6, 2, RecoverConfig(anchors=anchors))
+    res = tensor_recover(M, 6, 2, RecoverConfig(anchors=np.int64(30)))
+    assert res.report(include_timing=False) == tensor_recover(
+        M, 6, 2, RecoverConfig(anchors=30)).report(include_timing=False)
 
 
 def test_recovered_report_shape():

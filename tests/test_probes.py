@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssbmf import ParameterError, gen_selection_matrix, probes
-from ssbmf.instance import SelectionMatrix, sample_k_subset, split_seed
+from ssbmf.instance import SelectionMatrix, split_seed
 from ssbmf.probes import (anticoncentration_estimate, enumerate_zero_probability,
                           f2_zero_probability, fibre_stats, krawtchouk,
                           krawtchouk_bound_check, rank_exact, rank_f2,
@@ -103,7 +103,7 @@ def test_rank_modp_detects_modular_collapse():
 
 def test_rank_report_full_rank_case():
     W = gen_selection_matrix(160, 40, 3, seed=4)
-    report = rank_report(W, primes=(3, 5), seed=0)
+    report = rank_report(W, primes=(3, 5))
     assert report.rank_real == 40
     assert set(report.rank_modq) == {3, 5}
     assert report.rank_f2 <= 40
@@ -117,22 +117,34 @@ def test_rank_report_certifies_deficiency():
     assert any("fraction-free" in note for note in report.notes)
 
 
-@pytest.mark.parametrize("full, calls", [(True, 1), (False, 3)])
-def test_rank_report_stops_at_the_first_full_pool_rank(full, calls, monkeypatch):
-    # No rank exceeds min(m, r), so the pool primes after a full one are
-    # skipped; the notes still list all three drawn primes.
+@pytest.mark.parametrize("full", [True, False])
+def test_rank_report_takes_one_modular_rank_then_certifies_deficiency(full, monkeypatch):
+    # A full rank mod one prime certifies full rank over the rationals; a
+    # deficient one goes to fraction-free elimination (r <= 200).
     if full:
         W = gen_selection_matrix(160, 40, 3, seed=4)
     else:
         W = SelectionMatrix(m=5, r=4, k=2, rows=[(0, 1)] * 5)
     seen = []
     monkeypatch.setattr(probes, "rank_modp", lambda A, p: seen.append(p) or rank_modp(A, p))
-    report = rank_report(W, seed=3)
+    report = rank_report(W)
     assert report.rank_real == (40 if full else 1)
-    assert len(seen) == calls
-    primes = [int(p) for p in report.notes[0].split("[")[1].rstrip("]").split(",")]
-    assert len(set(primes)) == 3 and primes[:calls] == seen
-    assert report.rank_real == max(rank_modp(W.dense(), p) for p in primes)
+    assert seen == [probes.RANK_PRIME]
+    assert report.notes[0] == f"modular prime: {probes.RANK_PRIME}"
+    assert any("fraction-free" in note for note in report.notes) == (not full)
+    assert report.rank_real == rank_exact(W.dense())
+
+
+@pytest.mark.parametrize("m, r, k, seed", [
+    (160, 40, 3, 4), (160, 40, 4, 4), (30, 12, 2, 1), (30, 12, 5, 1), (12, 12, 3, 2),
+    (5, 4, 2, None)])
+def test_bitset_and_modular_f2_ranks_agree(m, r, k, seed):
+    # Even and odd k; seed None is the deficient 5 x 4 case.
+    if seed is None:
+        W = SelectionMatrix(m=m, r=r, k=k, rows=[(0, 1)] * m)
+    else:
+        W = gen_selection_matrix(m, r, k, seed=seed)
+    assert rank_report(W, primes=[2]).rank_modq[2] == rank_f2(W)
 
 
 def test_wilson_interval_basic():
@@ -205,7 +217,7 @@ def test_rank_report_rejects_moduli_that_are_not_primes_below_the_bound(q):
 
 def test_rank_report_accepts_the_largest_prime_below_the_bound():
     W = gen_selection_matrix(160, 40, 3, seed=4)
-    report = rank_report(W, primes=[2, 3037000493], seed=0)
+    report = rank_report(W, primes=[2, 3037000493])
     assert set(report.rank_modq) == {2, 3037000493}
     assert report.rank_modq[3037000493] == report.rank_real == 40
 
