@@ -162,6 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ssbmf",
         description="Sparse symmetric Boolean matrix factorization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared through parents=: the report format, the (r, k) shape and sampling.
+    report, shape, sampled = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    report.add_argument("--report", choices=["json", "csv", "pretty"], default="json")
+    report.add_argument("--out", default=None)
+    shape.add_argument("--r", type=int, default=16)
+    shape.add_argument("--k", type=int, default=3)
+    sampled.add_argument("--trials", type=int, default=200)
+    sampled.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate a random selection matrix")
     p.add_argument("--m", type=int, required=True)
@@ -198,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("csp", help="reduce to Max 2-CSP and solve")
+    p = sub.add_parser("csp", help="reduce to Max 2-CSP and solve", parents=[report])
     p.add_argument("--gram", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -208,24 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", choices=["json", "csv", "pretty"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_csp)
 
     p = sub.add_parser("probe", help="validation probes")
-    p.add_argument("what", choices=["rank", "krawtchouk", "singularity",
-                                    "anticoncentration"])
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--r", type=int, default=16)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--q", default="real")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--primes", type=int, nargs="*", default=[])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", choices=["json", "csv", "pretty"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_probe)
+    kinds = p.add_subparsers(dest="what", required=True)
+    q = kinds.add_parser("rank", parents=[report])
+    q.add_argument("--in", dest="infile", default=None)
+    q.add_argument("--primes", type=int, nargs="*", default=[])
+    kinds.add_parser("krawtchouk", parents=[shape, report])
+    q = kinds.add_parser("singularity", parents=[shape, sampled, report])
+    q.add_argument("--m", type=int, default=64)
+    q = kinds.add_parser("anticoncentration", parents=[shape, sampled, report])
+    q.add_argument("--q", default="real")
 
     p = sub.add_parser("bench", help="timing of the core kernels and of each recovery stage")
     p.add_argument("--m", type=int, default=None, help="default: suggested_m")

@@ -27,7 +27,6 @@ from .errors import DimensionError, ParameterError
 
 _WORD = np.dtype("<u8")
 _CHUNK_WORDS = 1 << 16  # words per temporary in the chunked row kernels
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def n_words(m: int) -> int:
@@ -195,10 +194,10 @@ class GramMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramMatrix":
-        """Decode and check the row count, ceil(m/4) hex digits per row, no bit
-        at a position >= m, the unit diagonal and symmetry; optional integer
-        ``counts`` must be an m x m symmetric array of non-negative integers,
-        positive exactly where the bit is set (ParameterError)."""
+        """Decode and check the row count, ceil(m/4) hex digits per row, the
+        unit diagonal and symmetry, zero bits at positions >= m included;
+        optional integer ``counts`` must be an m x m symmetric array of non-negative
+        integers, positive exactly where the bit is set (ParameterError)."""
         (m,) = _json_ints(obj, "m")
         rows = obj["hex_rows"]
         if m < 1 or not isinstance(rows, list) or len(rows) != m:
@@ -207,17 +206,19 @@ class GramMatrix:
         bits = np.zeros((m, n_words(m)), dtype=_WORD)
         raw = bits.view(np.uint8)
         for a, row in enumerate(rows):
-            if not isinstance(row, str) or len(row) != nibbles or not set(row) <= _HEX_DIGITS:
+            try:  # fromhex rejects non-hex digits; ASCII whitespace it skips leaves data short
+                data = bytes.fromhex(row.rjust(width, "0")) if len(row) == nibbles else b""
+            except (AttributeError, TypeError, ValueError):  # not a string, or not hex
+                data = b""
+            if len(data) != width // 2:
                 raise ParameterError(f"hex row {a} is not {nibbles} hex digits")
-            raw[a] = np.frombuffer(bytes.fromhex(row.rjust(width, "0"))[::-1], np.uint8)
-        if m % 64 and np.any(bits[:, -1] >> (m % 64)):
-            raise ParameterError(f"a hex row sets a bit at a position >= m={m}")
+            raw[a] = np.frombuffer(data[::-1], np.uint8)
         for w in range(n_words(m)):
-            # Rows 64w.. against columns 64w..: equal, with ones on the diagonal.
-            block = np.unpackbits(raw[64 * w: 64 * w + 64], axis=1, bitorder="little")[:, :m]
-            column = np.unpackbits(raw[:, 8 * w: 8 * w + 8], axis=1, bitorder="little")
-            if not np.array_equal(block, column[:, : len(block)].T):
-                raise ParameterError(f"not symmetric in rows {64 * w}..{64 * w + 63}")
+            # Rows 64w.. transposed equal word w of all rows, padding bits included.
+            block = _unpack(bits[64 * w: 64 * w + 64], m)
+            if not np.array_equal(_pack(block.T), bits[:, w: w + 1]):
+                raise ParameterError(f"rows {64 * w}..{64 * w + 63} are not symmetric "
+                                     f"or set a bit at a position >= m={m}")
             if not np.diagonal(block, offset=64 * w).all():
                 raise ParameterError(f"a diagonal entry in rows {64 * w}.. is 0")
         M = cls(m=m, bits=bits)

@@ -94,20 +94,19 @@ def count_thresholds(m: int, table: MuTable) -> np.ndarray:
     return np.array(out[::-1], dtype=np.int64)
 
 
-def invert_counts(counts, m: int, table: MuTable) -> np.ndarray:
-    """Vectorized inversion of zero-co-occurrence counts to union sizes.
-
-    Equivalent to invert_fraction(count / m) entrywise; ties at midpoints
-    resolve toward the smaller union size.
-    """
-    thresholds = count_thresholds(m, table)
+def invert_counts(counts, thresholds: np.ndarray) -> np.ndarray:
+    """Vectorized inversion of zero-co-occurrence counts to union sizes through
+    ``thresholds = count_thresholds(m, table)``, which callers build once;
+    equal to invert_fraction(count / m, table) entrywise, ties at midpoints
+    going to the smaller union size."""
     out = np.searchsorted(thresholds, counts, side="right")
     return np.subtract(len(thresholds), out, out=out)
 
 
 def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarray:
     """Union sizes for the row block rows_a x rows_b (default: all rows)."""
-    return invert_counts(zero_counts(M.bits, M.m, rows_a, rows_b), M.m, table)
+    return invert_counts(zero_counts(M.bits, M.m, rows_a, rows_b),
+                         count_thresholds(M.m, table))
 
 
 def required_sample_size(r: int, k: int, t: int, delta: float, c0: float = 1.0) -> int:

@@ -50,8 +50,8 @@ class Dataset:
 class SyntheticDataset:
     """m x d nonnegative matrix Z with row i = |sum of the selected rows of X|.
 
-    The generating selection matrix (and optionally the signed sums Y) are
-    held by the simulator; attacker-facing code must not read them.
+    The simulator keeps the generating W (attacker-facing code must not read
+    it) but not the signed sums Y; a caller giving Y gets Z == |Y| checked.
     """
 
     Z: np.ndarray
@@ -67,12 +67,12 @@ class SyntheticDataset:
 
 
 def gen_instahide(X: Dataset, m: int, k: int, seed: int):
-    """Simulate the mixing scheme: sample W, emit |W X| and the Boolean Gram."""
+    """Simulate the mixing scheme: sample W, emit |W X| with W (not W X) and the Boolean Gram."""
     if k < 2 or k > X.r:
         raise ParameterError(f"need 2 <= k <= r, got k={k} r={X.r}")
     W = gen_selection_matrix(m, X.r, k, seed)
     Y = W.dense().astype(float) @ X.X
-    synthetic = SyntheticDataset(Z=np.abs(Y), W=W, Y=Y)
+    synthetic = SyntheticDataset(Z=np.abs(Y), W=W)
     return synthetic, gram(W, "boolean")
 
 

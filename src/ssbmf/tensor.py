@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, InconsistencyError, ParameterError
 from .instance import _WORD, GramMatrix, SelectionMatrix, _pack, _unpack
-from .mu import invert_counts, mu_table, zero_counts
+from .mu import count_thresholds, invert_counts, mu_table, zero_counts
 
 
 class IntersectionTensor:
@@ -89,8 +89,8 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     """
     if M.m < 1:
         raise ParameterError("empty Gram matrix")
-    table = mu_table(r, k)
     m = M.m
+    thresholds = count_thresholds(m, mu_table(r, k))
 
     def entry_fn(a, b, c):
         if not all(0 <= i < m for i in (a, b, c)):  # numpy would wrap negatives
@@ -98,7 +98,7 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
         A, B, C = M.bits[[a, b, c]]
         unions = np.stack([A | B | C, A | B, A | C, B | C])
         counts = m - np.bitwise_count(unions).sum(axis=1, dtype=np.int64)
-        val = _pie(*invert_counts(counts, m, table).tolist(), k)
+        val = _pie(*invert_counts(counts, thresholds).tolist(), k)
         if not 0 <= val <= k:
             raise InconsistencyError((a, b, c), val)
         return val
@@ -112,12 +112,12 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     idx = list(anchors)
     n = len(idx)
     bits, weights = _distinct_columns(M, idx)
-    t_pair = invert_counts(zero_counts(bits, m, range(n), weights=weights), m, table)
+    t_pair = invert_counts(zero_counts(bits, m, range(n), weights=weights), thresholds)
     block = np.empty((n, n, n), dtype=np.int16)
     for i in range(n):
         # The triples whose smallest position is i, written at all six orders.
         t_triple = invert_counts(
-            zero_counts(bits[i:], m, range(n - i), extra=0, weights=weights), m, table)
+            zero_counts(bits[i:], m, range(n - i), extra=0, weights=weights), thresholds)
         row = t_pair[i, i:]
         block[i, i:, i:] = block[i:, i, i:] = block[i:, i:, i] = _pie(
             t_triple, row[:, None], row[None, :], t_pair[i:, i:], k)

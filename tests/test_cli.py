@@ -68,6 +68,30 @@ def test_csp_subcommand(tmp_path, capsys):
     assert out["gap"] == 0 and out["off_diagonal_l0"] == 0
 
 
+def test_csp_local_solver_and_budget_failure(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(G_CYCLE))
+    csp = ["csp", "--gram", str(g), "--r", "4", "--k", "2"]
+    assert main(csp + ["--solver", "local"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"edges": 6, "gap": 0, "off_diagonal_l0": 0, "value": 6}
+    # 6^4 assignments exceed a budget of 1: a failure (exit 3), not a usage error.
+    assert main(csp + ["--budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("failure: ")
+
+
+def test_recover_failure_exit_code(tmp_path, capsys):
+    m = 64  # an all-ones Gram matrix: the tensor bootstrap finds entries outside {0..k}
+    hex_rows = [format((1 << m) - 1, "016x")] * m
+    (tmp_path / "g.json").write_text(json.dumps({"m": m, "hex_rows": hex_rows}))
+    (tmp_path / "z.csv").write_text("1,2\n" * m)
+    assert main(["recover", "--gram", str(tmp_path / "g.json"), "--synthetic",
+                 str(tmp_path / "z.csv"), "--r", "8", "--k", "2"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["success"] is False and "outside valid range" in out["failure"]
+
+
 def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
     w, g = tmp_path / "w.json", tmp_path / "g.json"
     w.write_text(json.dumps(W_CYCLE))
@@ -143,6 +167,23 @@ def test_probes_accept_negative_seeds(capsys):
     assert "max_atom" in json.loads(capsys.readouterr().out)
     assert main(["probe", "singularity", "--m", "8", "--r", "4", "--k", "1",
                  "--trials", "20", "--seed", "-1"]) == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["probe", "rank", "--in", "w.json", "--seed", "1"], "--seed 1"),
+    (["probe", "krawtchouk", "--r", "32", "--k", "5", "--m", "3"], "--m 3"),
+    (["probe", "krawtchouk", "--r", "32", "--k", "5", "--trials", "1"], "--trials 1"),
+    (["probe", "krawtchouk", "--r", "32", "--k", "5", "--primes", "7"], "--primes 7"),
+    (["probe", "singularity", "--q", "7"], "--q 7"),
+    (["probe", "anticoncentration", "--in", "w.json"], "--in"),
+], ids=["rank-seed", "krawtchouk-m", "krawtchouk-trials", "krawtchouk-primes",
+        "singularity-q", "anticoncentration-in"])
+def test_probe_kinds_take_only_the_flags_they_read(argv, flag, tmp_path, capsys):
+    (tmp_path / "w.json").write_text(json.dumps(W_CYCLE))
+    argv = [str(tmp_path / a) if a == "w.json" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_recover_subcommand(tmp_path, capsys):

@@ -274,6 +274,17 @@ def test_packed_kernels_match_brute_force(m):
     assert M2.to_json() == obj
 
 
+def _unit_hex(m, row=0, extra=(), text=None):
+    """Hex rows of the m x m identity (a valid Gram file), with the bits
+    ``extra`` also set in ``row``, or with ``text`` in place of that row."""
+    rows = [1 << a for a in range(m)]
+    rows[row] |= sum(1 << j for j in extra)
+    rows = [format(v, f"0{(m + 3) // 4}x") for v in rows]
+    if text is not None:
+        rows[row] = text
+    return {"m": m, "hex_rows": rows}
+
+
 @pytest.mark.parametrize("obj", [
     {"m": 3, "hex_rows": ["ff", "1", "2"]},        # stray bits, zero diagonal
     {"m": 2, "hex_rows": ["1", "3"]},              # asymmetric
@@ -284,6 +295,17 @@ def test_packed_kernels_match_brute_force(m):
     {"m": 5, "hex_rows": ["1f"] * 4 + [" f"]},     # a space in place of a digit
     {"m": 0, "hex_rows": []},                      # empty
     {"m": 65, "hex_rows": ["0" + "f" * 16] + ["1" + "f" * 16] * 64},  # (0, 64) != (64, 0)
+    {"m": 1, "hex_rows": ["\u0663"]},              # a non-ASCII digit
+    _unit_hex(16, text="0x01"),                    # a 0x prefix
+    _unit_hex(13, text="  ff"),                    # spaces at an even offset (fromhex skips them)
+    _unit_hex(5, text="001"),                      # a leading zero too many
+    _unit_hex(5, text="1"),                        # a digit too few
+    {"m": 1, "hex_rows": [1]},                     # not a string
+    {"m": 2, "hex_rows": [["1"], "2"]},            # not a string, of the right length
+    _unit_hex(9, row=0, extra=[10]),               # stray padding bits past m = 9, 65, 130
+    _unit_hex(65, row=5, extra=[66]),
+    _unit_hex(130, row=129, extra=[131]),
+    _unit_hex(130, row=64, extra=[130, 131]),
 ])
 def test_gram_from_json_rejects_malformed(obj, tmp_path):
     with pytest.raises(ParameterError):
@@ -291,3 +313,10 @@ def test_gram_from_json_rejects_malformed(obj, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(obj))
     assert main(["attack", "--gram", str(path), "--r", "4", "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize("m", [1, 9, 13, 64, 65, 130])
+def test_unit_hex_helper_is_a_valid_gram_file(m):
+    # The malformed cases above built by _unit_hex differ from a valid file
+    # in one row only.
+    assert np.array_equal(GramMatrix.from_json(_unit_hex(m)).dense(), np.eye(m))

@@ -47,6 +47,38 @@ def test_decompose_rank_deficient_raises():
         jennrich_decompose(T, 6)
 
 
+@pytest.mark.parametrize("equal_attempts", [1, 5])
+def test_decompose_retries_equal_contractions(equal_attempts, monkeypatch):
+    # Two equal contractions give a multiple of the identity: every eigenvalue
+    # collides, so the attempt is retried with fresh vectors, and after
+    # RETRIES such attempts the decomposition raises DegeneracyError.
+    import ssbmf.jennrich
+    from ssbmf.errors import DegeneracyError
+    from ssbmf.tensor import contract
+    calls = []
+
+    def contract_equal(T, v):
+        calls.append(v)
+        if len(calls) <= 2 * equal_attempts:
+            v = np.ones(len(v)) / np.sqrt(len(v))
+        return contract(T, v)
+
+    monkeypatch.setattr(ssbmf.jennrich, "contract", contract_equal)
+    W = gen_selection_matrix(40, 8, 2, seed=1)
+    T = oracle_tensor(W, materialize=True)
+    diagnostics = {}
+    if equal_attempts < ssbmf.jennrich.RETRIES:
+        vectors = jennrich_decompose(T, 8, diagnostics=diagnostics)
+        assert diagnostics["retries"] == equal_attempts
+        block = np.stack([round_boolean(v) for v in vectors], axis=1)
+        assert sorted(map(tuple, block.T)) == sorted(map(tuple, W.dense().T))
+    else:
+        with pytest.raises(DegeneracyError, match="after 5 retries"):
+            jennrich_decompose(T, 8, diagnostics=diagnostics)
+        assert "retries" not in diagnostics
+    assert len(calls) == 2 * min(equal_attempts + 1, ssbmf.jennrich.RETRIES)
+
+
 def test_round_boolean_examples():
     assert round_boolean([0.1, -0.9, 0.05, -0.95]).tolist() == [0, 1, 0, 1]
     assert round_boolean([2.0, 0.0, 2.0]).tolist() == [1, 0, 1]

@@ -6,7 +6,7 @@ import pytest
 from ssbmf import (InconsistencyError, ParameterError, build_tensor,
                    gen_selection_matrix, gram, mu_table, oracle_tensor)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import invert_counts
+from ssbmf.mu import count_thresholds, invert_counts
 from ssbmf.tensor import contract
 
 
@@ -110,9 +110,10 @@ def _reference_block(M, r, k, anchors):
     anchor rows: the block, or (triple, value) of its first bad entry."""
     table = mu_table(r, k)
     zero = 1.0 - M.dense()[anchors]
-    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), M.m, table)
+    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), count_thresholds(M.m, table))
     triples = invert_counts(np.rint(np.einsum("aj,bj,cj->abc", zero, zero, zero,
-                                              optimize=True)).astype(np.int64), M.m, table)
+                                              optimize=True)).astype(np.int64),
+                            count_thresholds(M.m, table))
     block = triples - pairs[:, :, None] - pairs[:, None, :] - pairs[None, :, :] + 3 * k
     bad = np.argwhere((block < 0) | (block > k))
     if len(bad):
@@ -184,6 +185,35 @@ def test_inconsistency_raised():
     with pytest.raises(InconsistencyError, match=r"entry \(0, 0, 0\) = -6 ") as exc:
         build_tensor(M, r, k, anchors=range(m))
     assert (exc.value.triple, exc.value.value) == ((0, 0, 0), -6)
+
+
+def test_lazy_entry_raises_inconsistency():
+    # The all-ones Gram matrix of test_inconsistency_raised, read entry by entry.
+    m, r, k = 6, 10, 2
+    from ssbmf.instance import GramMatrix
+    M = GramMatrix.from_json({"m": m, "hex_rows": [format((1 << m) - 1, "x")] * m})
+    T = build_tensor(M, r, k, mode="lazy")
+    with pytest.raises(InconsistencyError, match=r"entry \(2, 0, 5\) = -6 ") as exc:
+        T.entry(2, 0, 5)
+    assert (exc.value.triple, exc.value.value) == ((2, 0, 5), -6)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "anchored"])
+def test_tensor_builds_its_thresholds_once(mode, monkeypatch):
+    import ssbmf.tensor
+    calls = []
+
+    def counting(m, table):
+        calls.append((m, table.r, table.k))
+        return count_thresholds(m, table)
+
+    monkeypatch.setattr(ssbmf.tensor, "count_thresholds", counting)
+    W = gen_selection_matrix(600, 8, 2, seed=4)
+    T = build_tensor(gram(W), 8, 2, mode=mode, anchors=None if mode == "lazy" else range(24))
+    oracle = oracle_tensor(W)
+    triples = np.random.default_rng(0).integers(0, 600, size=(100, 3)).tolist()
+    assert [T.entry(*t) for t in triples] == [oracle.entry(*t) for t in triples]
+    assert calls == [(600, 8, 2)]
 
 
 @pytest.mark.parametrize("anchors, triple", [
