@@ -162,14 +162,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ssbmf",
         description="Sparse symmetric Boolean matrix factorization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags shared through parents=: the report format, the (r, k) shape and sampling.
-    report, shape, sampled = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    # Flags shared through parents=: the report format, the (r, k) shape, sampling
+    # and the recovery inputs.
+    report, shape, sampled, recovery = (argparse.ArgumentParser(add_help=False)
+                                        for _ in range(4))
     report.add_argument("--report", choices=["json", "csv", "pretty"], default="json")
     report.add_argument("--out", default=None)
     shape.add_argument("--r", type=int, default=16)
     shape.add_argument("--k", type=int, default=3)
     sampled.add_argument("--trials", type=int, default=200)
     sampled.add_argument("--seed", type=int, default=0)
+    recovery.add_argument("--gram", required=True)
+    recovery.add_argument("--r", type=int, required=True)
+    recovery.add_argument("--k", type=int, required=True)
+    recovery.add_argument("--anchors", type=int, default=None,
+                          help="anchor rows; m uses all rows")
+    recovery.add_argument("--seed", type=int, default=0)
+    recovery.add_argument("--out", default=None)
 
     p = sub.add_parser("gen", help="generate a random selection matrix")
     p.add_argument("--m", type=int, required=True)
@@ -186,24 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gram)
 
-    p = sub.add_parser("attack", help="recover W from a Boolean Gram matrix")
-    p.add_argument("--gram", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--anchors", type=int, default=None, help="anchor rows; m uses all rows")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("attack", help="recover W from a Boolean Gram matrix",
+                       parents=[recovery])
     p.add_argument("--w-out", default=None)
     p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("recover", help="recover heavy coordinates of a dataset")
-    p.add_argument("--gram", required=True)
+    p = sub.add_parser("recover", help="recover heavy coordinates of a dataset",
+                       parents=[recovery])
     p.add_argument("--synthetic", required=True, help="CSV of the m x d matrix")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--anchors", type=int, default=None, help="anchor rows; m uses all rows")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("csp", help="reduce to Max 2-CSP and solve", parents=[report])

@@ -11,7 +11,6 @@ omitted, so objective identities use off-diagonal counts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,16 +61,6 @@ class CspInstance:
     @property
     def n_edges(self) -> int:
         return self.m * self.m if self.bipartite else self.m * (self.m - 1) // 2
-
-    def edges(self):
-        if self.bipartite:
-            return itertools.product(range(self.m), range(self.m))
-        return itertools.combinations(range(self.m), 2)
-
-    def to_json(self) -> dict:
-        targets = [int(self.targets[u, v]) for u, v in self.edges()]
-        return {"m": self.m, "r": self.r, "k": self.k, "mode": self.mode,
-                "bipartite": self.bipartite, "targets": targets}
 
 
 @dataclass

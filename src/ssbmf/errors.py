@@ -9,7 +9,7 @@ class ParameterError(SsbmfError):
     """Invalid parameters (bad sparsity, zero dimensions, out-of-range values)."""
 
 
-class DimensionError(SsbmfError):
+class DimensionError(ParameterError):
     """Shapes of the supplied objects do not match."""
 
 

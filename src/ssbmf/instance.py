@@ -285,22 +285,17 @@ def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:
     return GramMatrix(m=W.m, bits=bits, counts=counts)
 
 
-def factorization_error(M: GramMatrix, W: SelectionMatrix, *,
-                        off_diagonal_only: bool = False) -> int:
+def factorization_error(M: GramMatrix, W: SelectionMatrix) -> int:
     """Number of Boolean entries where M differs from gram(W).
 
-    Symmetric disagreements are double-counted (full-matrix L0); pass
-    ``off_diagonal_only`` to drop the forced diagonal.  gram(W) is compared
-    chunk by chunk and never held whole.
+    Symmetric disagreements are double-counted (full-matrix L0).  gram(W) is
+    compared chunk by chunk and never held whole.
     """
     if M.m != W.m:
         raise DimensionError(f"M is {M.m}x{M.m} but W has {W.m} rows")
     total = 0
     for lo, hi, rows in _gram_rows(W):
         total += int(np.bitwise_count(rows ^ M.bits[lo:hi]).sum())
-    if off_diagonal_only:
-        # gram(W) has a unit diagonal: its disagreements are M's diagonal zeros.
-        total -= sum(1 - M.entry(a, a) for a in range(M.m))
     return total
 
 

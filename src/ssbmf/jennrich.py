@@ -245,7 +245,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
         with _stage(stages, "extend"):
             W_hat = extend_from_anchors(block, indices, M, k, diagnostics)
     except SsbmfError as exc:
-        if isinstance(exc, (ParameterError, DimensionError)):
+        if isinstance(exc, ParameterError):
             raise
         diagnostics["seconds"] = time.perf_counter() - start
         return RecoveredFactors(W_hat=None, success=False, residual=-1,

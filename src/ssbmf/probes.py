@@ -212,6 +212,8 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
     """
     if samples < 1:
         raise ParameterError("need samples >= 1")
+    if not 1 <= k <= r:
+        raise ParameterError(f"need 1 <= k <= r, got k={k} r={r}")
     if q != "real" and not (str(q).isdigit() and int(q) >= 2):
         raise ParameterError(f"q must be 'real' or an integer >= 2, got {q!r}")
     x = np.asarray(x)

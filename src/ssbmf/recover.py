@@ -51,19 +51,16 @@ class SyntheticDataset:
     """m x d nonnegative matrix Z with row i = |sum of the selected rows of X|.
 
     The simulator keeps the generating W (attacker-facing code must not read
-    it) but not the signed sums Y; a caller giving Y gets Z == |Y| checked.
+    it) but not the signed sums.
     """
 
     Z: np.ndarray
     W: SelectionMatrix = None
-    Y: np.ndarray = None
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z, dtype=float)
         if not np.all(np.isfinite(self.Z)) or np.any(self.Z < 0):
             raise ParameterError("synthetic data must be finite and nonnegative")
-        if self.Y is not None and not np.allclose(self.Z, np.abs(self.Y)):
-            raise ParameterError("Z must equal |Y| entrywise")
 
 
 def gen_instahide(X: Dataset, m: int, k: int, seed: int):

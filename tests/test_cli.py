@@ -134,8 +134,14 @@ def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
      ["recover", "--gram", "g.json", "--synthetic", "z.csv", "--r", "4", "--k", "2"]),
     ({"g.json": G_CYCLE, "z.csv": "nan,2\n1,2\n1,2\n1,2\n"},
      ["recover", "--gram", "g.json", "--synthetic", "z.csv", "--r", "4", "--k", "2"]),
+    ({"w.json": {**W_CYCLE, "m": 5}}, ["gram", "--in", "w.json"]),
+    ({"w.json": {**W_CYCLE, "m": 5}}, ["probe", "rank", "--in", "w.json"]),
+    ({}, ["probe", "anticoncentration", "--r", "10", "--k", "0"]),
+    ({}, ["probe", "anticoncentration", "--r", "3", "--k", "4"]),
 ], ids=["float-entry", "bool-entry", "short-row", "float-m", "W-not-object",
-        "M-not-object", "probe-rank-without-in", "Z-rows-not-m", "Z-not-finite"])
+        "M-not-object", "probe-rank-without-in", "Z-rows-not-m", "Z-not-finite",
+        "W-rows-not-m", "probe-rank-W-rows-not-m", "anticoncentration-k-0",
+        "anticoncentration-k-above-r"])
 def test_input_errors_exit_2(files, argv, tmp_path, capsys):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))

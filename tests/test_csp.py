@@ -52,8 +52,8 @@ def planted_instance(mode="integer"):
 
 def test_reduce_symmetric_shape():
     W, inst = planted_instance()
-    assert inst.n_vertices == 4
-    assert inst.n_edges == 6
+    assert inst.m == inst.n_vertices == 4
+    assert inst.n_edges == math.comb(inst.m, 2) == 6
     assert inst.alphabet_size == 6
     assert np.array_equal(inst.targets, inst.targets.T)
 
@@ -209,9 +209,3 @@ def test_reduce_rejects_bad_entries():
         reduce_asymmetric(np.array([[3, 0], [0, 3]]), 4, 2)
     with pytest.raises(ParameterError):
         reduce_asymmetric(np.zeros((2, 3)), 4, 2)
-
-
-def test_instance_json():
-    _, inst = planted_instance()
-    obj = inst.to_json()
-    assert obj["m"] == 4 and len(obj["targets"]) == inst.n_edges

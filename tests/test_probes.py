@@ -204,6 +204,9 @@ def test_anticoncentration_validation():
         anticoncentration_estimate(np.zeros(3), 4, 2)
     with pytest.raises(ParameterError):
         anticoncentration_estimate(np.zeros(4), 4, 2, samples=0)
+    for k in (0, 5):  # k = 0 and k = r + 1
+        with pytest.raises(ParameterError, match="1 <= k <= r"):
+            anticoncentration_estimate(np.zeros(4), 4, k)
 
 
 @pytest.mark.parametrize("q", [4, 6, 1, -5, 0, 3037000499, 3037000507])

@@ -33,9 +33,9 @@ def test_dataset_validation():
 def test_synthetic_validation():
     with pytest.raises(ParameterError):
         SyntheticDataset(Z=np.array([[-1.0]]))
-    with pytest.raises(ParameterError):
-        SyntheticDataset(Z=np.array([[2.0]]), Y=np.array([[-3.0]]))
-    SyntheticDataset(Z=np.array([[3.0]]), Y=np.array([[-3.0]]))
+    with pytest.raises(TypeError):
+        SyntheticDataset(Z=np.array([[3.0], [3.0]]), Y=np.array([[-3.0]]))
+    SyntheticDataset(Z=np.array([[3.0]]))
 
 
 def test_gen_instahide_shapes_and_consistency():
