@@ -7,9 +7,9 @@ heavy-coordinate dataset-recovery attack, reductions to Max 2-CSP, and a
 suite of exact/empirical validation probes.
 """
 
-from .errors import (BudgetExceededError, DegeneracyError, DimensionError,
-                     ExtensionError, InconsistencyError, ParameterError,
-                     RankDeficiencyError, RoundingError, SsbmfError)
+from .errors import (BudgetExceededError, DegeneracyError, ExtensionError,
+                     InconsistencyError, ParameterError, RankDeficiencyError,
+                     RoundingError, SsbmfError)
 from .instance import (GramMatrix, SelectionMatrix, factorization_error,
                        gen_selection_matrix, gram, split_seed)
 from .jennrich import (RecoverConfig, RecoveredFactors, extend_from_anchors,

@@ -50,6 +50,10 @@ class CspInstance:
     m: int               # vertices per side (total n = m or 2m)
     targets: np.ndarray  # m x m required values
 
+    def __post_init__(self):
+        if not 1 <= self.k <= self.r:
+            raise ParameterError(f"need 1 <= k <= r, got r={self.r} k={self.k}")
+
     @property
     def alphabet_size(self) -> int:
         return math.comb(self.r, self.k)

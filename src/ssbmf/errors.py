@@ -6,11 +6,8 @@ class SsbmfError(Exception):
 
 
 class ParameterError(SsbmfError):
-    """Invalid parameters (bad sparsity, zero dimensions, out-of-range values)."""
-
-
-class DimensionError(ParameterError):
-    """Shapes of the supplied objects do not match."""
+    """Invalid parameters (bad sparsity, zero dimensions, mismatched shapes,
+    out-of-range values)."""
 
 
 class InconsistencyError(SsbmfError):

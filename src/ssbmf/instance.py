@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 
 _WORD = np.dtype("<u8")
 _CHUNK_WORDS = 1 << 16  # words per temporary in the chunked row kernels
@@ -107,7 +107,7 @@ class SelectionMatrix:
         except ValueError as exc:  # ragged rows
             raise ParameterError(f"rows are not {k}-subsets: {exc}") from None
         if support.ndim != 2 or len(support) != m:
-            raise DimensionError(f"expected {m} rows of {k} indices, got shape {support.shape}")
+            raise ParameterError(f"expected {m} rows of {k} indices, got shape {support.shape}")
         if support.shape[1] != k or support.dtype.kind not in "iu" or _holds_bool(rows):
             raise ParameterError(f"rows must hold {k} integers (not bools), got "
                                  f"{support.shape[1]} of dtype {support.dtype}")
@@ -141,17 +141,10 @@ class SelectionMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SelectionMatrix":
-        """Decode and check that m, r, k and every row entry are JSON
-        integers (not bools or floats) before construction (ParameterError)."""
+        """Decode and check that m, r and k are JSON integers (not bools or
+        floats); the constructor checks the rows (ParameterError)."""
         m, r, k = _json_ints(obj, "m", "r", "k")
-        rows = obj["rows"]
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-                and all(type(j) is int for row in rows for j in row)):
-            raise ParameterError("rows must be lists of integers")
-        return cls(m=m, r=r, k=k, rows=rows)
-
-    def to_csv(self, path) -> None:
-        save_csv(self.dense().tolist(), path)
+        return cls(m=m, r=r, k=k, rows=obj["rows"])
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,7 @@ class GramMatrix:
 
     def __post_init__(self):
         if np.shape(self.bits) != (self.m, n_words(self.m)):
-            raise DimensionError(f"expected {self.m} rows of {n_words(self.m)} words")
+            raise ParameterError(f"expected {self.m} rows of {n_words(self.m)} words")
 
     def entry(self, a: int, b: int) -> int:
         if not (0 <= a < self.m and 0 <= b < self.m):  # numpy would wrap negatives
@@ -292,7 +285,7 @@ def factorization_error(M: GramMatrix, W: SelectionMatrix) -> int:
     compared chunk by chunk and never held whole.
     """
     if M.m != W.m:
-        raise DimensionError(f"M is {M.m}x{M.m} but W has {W.m} rows")
+        raise ParameterError(f"M is {M.m}x{M.m} but W has {W.m} rows")
     total = 0
     for lo, hi, rows in _gram_rows(W):
         total += int(np.bitwise_count(rows ^ M.bits[lo:hi]).sum())

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegeneracyError, DimensionError, ExtensionError,
-                     ParameterError, RankDeficiencyError, RoundingError,
-                     SsbmfError)
+from .errors import (DegeneracyError, ExtensionError, ParameterError,
+                     RankDeficiencyError, RoundingError, SsbmfError)
 from .instance import (GramMatrix, SelectionMatrix, _rng, _unpack,
                        factorization_error)
 from .mu import mu_table, union_block
@@ -183,7 +182,7 @@ def match_columns(W_hat: SelectionMatrix, W_ref: SelectionMatrix):
     of (W_hat, W_ref) when the multisets differ.
     """
     if (W_hat.m, W_hat.r) != (W_ref.m, W_ref.r):
-        raise DimensionError("shape mismatch between candidate and reference")
+        raise ParameterError("shape mismatch between candidate and reference")
     available = {}
     for j, key in enumerate(map(tuple, W_ref.dense().T.tolist())):
         available.setdefault(key, []).append(j)

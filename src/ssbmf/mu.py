@@ -69,9 +69,9 @@ def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None, extra=None,
     """Zero co-occurrence counts of the pairs rows_a x rows_b of packed rows
     (default: all), or of the triples (a, b, extra), chunked over rows_a: m
     minus the popcount of the OR, word w weighing weights[w] (default 1), as a
-    float product, exact as its partial sums are integers <= m (float32 < 2^24)."""
-    dtype = np.float32 if m < 1 << 24 else np.float64
-    weights = np.ones(bits.shape[1], dtype) if weights is None else weights.astype(dtype)
+    float32 product, exact as its partial sums are integers <= m < 2^24.  An
+    m of 2^24 or more would take a packed Gram of at least 32 TiB."""
+    weights = np.ones(bits.shape[1], np.float32) if weights is None else weights.astype(np.float32)
     B = bits if rows_b is None else bits[list(rows_b)]
     rows_a = np.asarray(rows_a, dtype=np.intp)
     out = np.empty((len(rows_a), len(B)), dtype=np.int64)
@@ -115,6 +115,8 @@ def required_sample_size(r: int, k: int, t: int, delta: float, c0: float = 1.0) 
     The leading constant is exposed as a knob; the default is calibrated by
     the acceptance experiments.
     """
+    if not 1 <= k <= r:
+        raise ParameterError(f"need 1 <= k <= r, got r={r} k={k}")
     if not 0 < delta < 1:
         raise ParameterError(f"need 0 < delta < 1, got {delta}")
     if t < 1:

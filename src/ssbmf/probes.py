@@ -177,10 +177,11 @@ def singularity_experiment(m: int, r: int, k: int, trials: int,
 def krawtchouk_bound_check(r: int, k: int) -> dict:
     """Verify |K_k^r(lam)| <= C(r, k) (1 - 2k/r)^lam for all lam <= r/2.
 
-    Exact rational arithmetic; reports the first violating lam if any.
+    Exact rational arithmetic for 1 <= k <= 0.16 r; reports the first
+    violating lam if any.
     """
-    if k > Fraction(16, 100) * r:
-        raise ParameterError(f"precondition k <= 0.16 r violated: k={k} r={r}")
+    if not 1 <= k <= Fraction(16, 100) * r:
+        raise ParameterError(f"need 1 <= k <= 0.16 r, got k={k} r={r}")
     base = Fraction(r - 2 * k, r)
     bound = Fraction(math.comb(r, k))
     for lam in range(0, r // 2 + 1):

@@ -88,11 +88,11 @@ def expected_square_inner(p, r: int, k: int) -> float:
 def get_heavy_coordinates(W: SelectionMatrix, z) -> np.ndarray:
     """Magnitude estimates for the coordinates of p from z = |W p|.
 
-    Accurate within 1 +- eta for coordinates whose magnitude is at least
-    c_heavy * (k/r) times the total absolute mass, once m is large enough
-    for eta: eta sizes m and is not an input.  ``z`` may also be an (m, d)
-    matrix |W P|; column j of the (r, d) result is then the estimate for
-    column j of P.
+    Accurate within 1 +- eta for coordinates whose magnitude is at least a
+    constant multiple of (k/r) times the total absolute mass, once m is large
+    enough for eta: eta sizes m and is not an input.  ``z`` may also be an
+    (m, d) matrix |W P|; column j of the (r, d) result is then the estimate
+    for column j of P.
     """
     r, k, m = W.r, W.k, W.m
     if r < 2 * k or r < 3:
@@ -109,18 +109,15 @@ def get_heavy_coordinates(W: SelectionMatrix, z) -> np.ndarray:
 
 
 def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,
-                    c_heavy: float = 6.0, recover_config: RecoverConfig = None):
+                    recover_config: RecoverConfig = None):
     """Attack pipeline: factor M, then estimate each coordinate column.
 
-    Returns (Dataset of magnitude estimates, report dict).  The report
-    carries the factorization outcome and a per-entry heaviness mask: an
-    estimate is heavy when it is at least c_heavy * (k/r) times its column's
-    estimated mass, so no nonzero estimate is heavy when c_heavy * k/r > 1
-    (at 1, only a column's sole nonzero one).  The estimates are within
-    1 +- eta once m is large enough for eta; eta sizes m and is not an input.
+    Returns (Dataset of magnitude estimates, report dict), or (None, report)
+    when the factorization fails.  The report holds "success",
+    "factorization" (the factorization's report) and, on failure,
+    "failure".  The estimates are within 1 +- eta once m is large enough for
+    eta; eta sizes m and is not an input.
     """
-    if not c_heavy > 0:
-        raise ParameterError(f"c_heavy must be positive, got {c_heavy}")
     Z = synthetic.Z
     if Z.ndim != 2 or Z.shape[0] != M.m:
         raise ParameterError(f"synthetic dataset has shape {Z.shape}, expected {M.m} rows")
@@ -129,12 +126,7 @@ def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,
         return None, {"success": False, "failure": factors.failure,
                       "factorization": factors.report()}
     X_hat = get_heavy_coordinates(factors.W_hat, Z)
-    masses = np.abs(X_hat).sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        heavy = np.abs(X_hat) >= c_heavy * (k / r) * masses[None, :]
-    report = {"success": True, "factorization": factors.report(),
-              "heavy_mask": heavy.tolist()}
-    return Dataset(X=X_hat), report
+    return Dataset(X=X_hat), {"success": True, "factorization": factors.report()}
 
 
 def solve_exact(W: SelectionMatrix, Y) -> Dataset:

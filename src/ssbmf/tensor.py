@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InconsistencyError, ParameterError
+from .errors import InconsistencyError, ParameterError
 from .instance import _WORD, GramMatrix, SelectionMatrix, _pack, _unpack
 from .mu import count_thresholds, invert_counts, mu_table, zero_counts
 
@@ -52,7 +52,7 @@ def contract(T: IntersectionTensor, v) -> np.ndarray:
         raise ParameterError("contraction requires a materialized tensor")
     v = np.asarray(v, dtype=float)
     if v.shape != (T.block.shape[0],):
-        raise DimensionError(
+        raise ParameterError(
             f"vector of length {v.shape} against block dim {T.block.shape[0]}")
     return np.einsum("abc,c->ab", T.block.astype(float), v)
 

@@ -7,9 +7,9 @@ import ssbmf
 # Every public name of the package.  A change to the public API shows up
 # as a change to this list.
 PUBLIC_NAMES = [
-    "BudgetExceededError", "Dataset", "DegeneracyError", "DimensionError",
-    "ExtensionError", "GramMatrix", "InconsistencyError", "IntersectionTensor",
-    "MuTable", "ParameterError", "RankDeficiencyError", "RecoverConfig",
+    "BudgetExceededError", "Dataset", "DegeneracyError", "ExtensionError",
+    "GramMatrix", "InconsistencyError", "IntersectionTensor", "MuTable",
+    "ParameterError", "RankDeficiencyError", "RecoverConfig",
     "RecoveredFactors", "RoundingError", "SelectionMatrix", "SsbmfError",
     "SyntheticDataset", "build_tensor", "contract", "expected_square_inner",
     "extend_from_anchors", "factorization_error", "gen_instahide",

@@ -138,10 +138,14 @@ def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
     ({"w.json": {**W_CYCLE, "m": 5}}, ["probe", "rank", "--in", "w.json"]),
     ({}, ["probe", "anticoncentration", "--r", "10", "--k", "0"]),
     ({}, ["probe", "anticoncentration", "--r", "3", "--k", "4"]),
+    ({}, ["probe", "krawtchouk", "--r", "0", "--k", "0"]),
+    ({"g.json": G_CYCLE}, ["csp", "--gram", "g.json", "--r", "4", "--k", "9"]),
+    ({}, ["bench", "--r", "3", "--k", "5"]),
 ], ids=["float-entry", "bool-entry", "short-row", "float-m", "W-not-object",
         "M-not-object", "probe-rank-without-in", "Z-rows-not-m", "Z-not-finite",
         "W-rows-not-m", "probe-rank-W-rows-not-m", "anticoncentration-k-0",
-        "anticoncentration-k-above-r"])
+        "anticoncentration-k-above-r", "krawtchouk-r-0", "csp-k-above-r",
+        "bench-k-above-r"])
 def test_input_errors_exit_2(files, argv, tmp_path, capsys):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
@@ -149,7 +153,11 @@ def test_input_errors_exit_2(files, argv, tmp_path, capsys):
     if argv[0] == "gram":
         argv += ["--out", str(tmp_path / "out.json")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if argv[0] in ("csp", "bench"):  # the shape the user gave, not a derived m
+        r, k = argv[argv.index("--r") + 1], argv[argv.index("--k") + 1]
+        assert f"r={r} k={k}" in err and "m=" not in err
 
 
 def test_probe_subcommands(tmp_path, capsys):
@@ -259,8 +267,8 @@ def test_probe_moduli_exit_2(argv, tmp_path, capsys):
 
 
 def test_recover_rejects_non_positive_c_heavy(tmp_path, capsys):
-    # --c-heavy is retired (the CLI prints no heavy mask); c_heavy stays a
-    # checked recover_dataset parameter.
+    # --c-heavy is retired, and so are recover_dataset's c_heavy and the heavy
+    # mask it set.
     (tmp_path / "g.json").write_text(json.dumps(G_CYCLE))
     (tmp_path / "z.csv").write_text("1,2\n1,2\n1,2\n1,2\n")
     assert main(["recover", "--gram", str(tmp_path / "g.json"), "--synthetic",

@@ -204,6 +204,16 @@ def test_asymmetric_residual_identity_random():
         assert residual == inst.n_edges - value
 
 
+@pytest.mark.parametrize("r, k", [(4, 9), (0, 0), (-3, 2)])
+def test_reductions_reject_k_outside_1_to_r(r, k):
+    # The error names the given shape, not the alphabet size C(r, k).
+    M = gram(SelectionMatrix(m=4, r=4, k=2, rows=((0, 1), (1, 2), (2, 3), (0, 3))))
+    for reduce in (lambda: reduce_symmetric(M, r, k, "boolean"),
+                   lambda: reduce_asymmetric(np.zeros((2, 2), dtype=int), r, k)):
+        with pytest.raises(ParameterError, match=f"got r={r} k={k}$"):
+            reduce()
+
+
 def test_reduce_rejects_bad_entries():
     with pytest.raises(ParameterError):
         reduce_asymmetric(np.array([[3, 0], [0, 3]]), 4, 2)

@@ -169,6 +169,9 @@ def test_required_sample_size_bad_delta():
         required_sample_size(16, 3, 6, 0.0)
     with pytest.raises(ParameterError):
         required_sample_size(16, 3, 0, 0.1)
+    for r, k in [(4, 0), (0, 1), (-2, 1), (3, 5)]:
+        with pytest.raises(ParameterError, match=f"need 1 <= k <= r, got r={r} k={k}"):
+            required_sample_size(r, k, 1, 0.1)
 
 
 def test_mu_table_json():

@@ -169,6 +169,9 @@ def test_krawtchouk_bound_check_small():
     assert out["ok"] and out["first_violation"] is None
     with pytest.raises(ParameterError):
         krawtchouk_bound_check(10, 4)  # k > 0.16 r
+    for r, k in [(0, 0), (10, 0), (10, -1), (-5, -1)]:
+        with pytest.raises(ParameterError, match="need 1 <= k <= 0.16 r"):
+            krawtchouk_bound_check(r, k)
 
 
 def test_fibre_stats_examples():

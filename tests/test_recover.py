@@ -168,36 +168,17 @@ def test_recover_dataset_end_to_end():
         got = np.sort(dataset.X[:, j])
         want = np.sort(np.abs(X[:, j]))
         assert got[-1] == pytest.approx(want[-1], rel=0.25)
-    heavy = np.asarray(report["heavy_mask"])
-    assert heavy.shape == (r, d)
+    assert sorted(report) == ["factorization", "success"]
 
 
-def test_recover_dataset_heavy_mask_marks_the_largest_estimate_of_each_column():
-    # The instance of test_recover_dataset_end_to_end.  At r=8, k=2 the
-    # default c_heavy=6 asks for an estimate above 1.5x its column's mass,
-    # which none can reach, so the threshold is set to 0.75x the mass.
-    r, k, d = 8, 2, 3
-    rng = np.random.Generator(np.random.Philox(key=8))
-    X = rng.normal(size=(r, d)) * 0.05
-    for j in range(d):
-        X[2 * j, j] = 1.0
-    syn, M = gen_instahide(Dataset(X=X), m=3905, k=k, seed=11)
-    dataset, report = recover_dataset(
-        M, syn, r, k, c_heavy=3.0, recover_config=RecoverConfig(anchors=40, seed=11))
-    assert report["success"]
-    heavy = np.asarray(report["heavy_mask"])
-    assert np.array_equal(heavy, dataset.X == dataset.X.max(axis=0))
-    assert heavy.sum(axis=0).tolist() == [1] * d
-
-
-@pytest.mark.parametrize("c_heavy", [0, -1.0, float("nan")])
-def test_recover_dataset_rejects_c_heavy_before_any_recovery(c_heavy, monkeypatch):
+def test_recover_dataset_rejects_c_heavy_before_any_recovery(monkeypatch):
+    # The heavy mask and its threshold c_heavy are retired.
     calls = []
     monkeypatch.setattr("ssbmf.recover.tensor_recover", lambda *args: calls.append(args))
     W = gen_selection_matrix(30, 8, 2, seed=1)
     syn = SyntheticDataset(Z=np.ones((30, 2)))
-    with pytest.raises(ParameterError, match="c_heavy"):
-        recover_dataset(gram(W), syn, 8, 2, c_heavy=c_heavy)
+    with pytest.raises(TypeError, match="c_heavy"):
+        recover_dataset(gram(W), syn, 8, 2, c_heavy=6.0)
     assert calls == []
 
 
@@ -209,6 +190,7 @@ def test_recover_dataset_failure_passthrough():
     dataset, report = recover_dataset(M, syn, 8, 2,
                                       recover_config=RecoverConfig(anchors=m))
     assert dataset is None and not report["success"]
+    assert sorted(report) == ["factorization", "failure", "success"]
 
 
 def test_solve_exact_recovers_planted():
