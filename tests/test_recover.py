@@ -171,14 +171,16 @@ def test_recover_dataset_end_to_end():
     assert sorted(report) == ["factorization", "success"]
 
 
-def test_recover_dataset_rejects_c_heavy_before_any_recovery(monkeypatch):
-    # The heavy mask and its threshold c_heavy are retired.
+@pytest.mark.parametrize("c_heavy", [0, -1.0, float("nan")])
+def test_recover_dataset_rejects_c_heavy_before_any_recovery(c_heavy, monkeypatch):
+    # The heavy mask and its threshold c_heavy are retired: any c_heavy,
+    # the once-rejected values included, is an unknown keyword.
     calls = []
     monkeypatch.setattr("ssbmf.recover.tensor_recover", lambda *args: calls.append(args))
     W = gen_selection_matrix(30, 8, 2, seed=1)
     syn = SyntheticDataset(Z=np.ones((30, 2)))
     with pytest.raises(TypeError, match="c_heavy"):
-        recover_dataset(gram(W), syn, 8, 2, c_heavy=6.0)
+        recover_dataset(gram(W), syn, 8, 2, c_heavy=c_heavy)
     assert calls == []
 
 
