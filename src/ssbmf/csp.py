@@ -50,10 +50,6 @@ class CspInstance:
     m: int               # vertices per side (total n = m or 2m)
     targets: np.ndarray  # m x m required values
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.r:
-            raise ParameterError(f"need 1 <= k <= r, got r={self.r} k={self.k}")
-
     @property
     def alphabet_size(self) -> int:
         return math.comb(self.r, self.k)
@@ -73,10 +69,17 @@ class Assignment:
     value: int
 
 
+def _check_shape(r: int, k: int) -> None:
+    """The reductions' shape rule, checked before they read the matrix."""
+    if not 1 <= k <= r:
+        raise ParameterError(f"need 1 <= k <= r, got r={r} k={k}")
+
+
 def reduce_symmetric(M: GramMatrix, r: int, k: int,
                      mode: str = "integer") -> CspInstance:
     """Complete-graph instance: edge (u, v) wants <sigma(u), sigma(v)> to hit
     the integer entry, or its positivity indicator in boolean mode."""
+    _check_shape(r, k)
     if mode == "integer":
         if M.counts is None:
             raise ParameterError("integer mode needs integer entries; "
@@ -96,6 +99,7 @@ def reduce_symmetric(M: GramMatrix, r: int, k: int,
 
 def reduce_asymmetric(M, r: int, k: int) -> CspInstance:
     """Complete-bipartite instance for the two-factor problem M = U V."""
+    _check_shape(r, k)
     targets = np.asarray(M, dtype=np.int64)
     if targets.ndim != 2 or targets.shape[0] != targets.shape[1]:
         raise ParameterError("expected a square matrix")
@@ -203,16 +207,12 @@ def assignment_to_factors(inst: CspInstance, assignment: Assignment):
     identity residual = 2 * (|E| - value).  Asymmetric: returns
     ((U, V) 0/1 arrays, L0 residual) with residual = |E| - value.
     """
-    letters = [sorted(unrank_subset(t, inst.r, inst.k)) for t in assignment.sigma]
+    letters = [unrank_subset(t, inst.r, inst.k) for t in assignment.sigma]
     if inst.bipartite:
-        U = np.zeros((inst.m, inst.r), dtype=np.int64)
-        V = np.zeros((inst.r, inst.m), dtype=np.int64)
-        for u in range(inst.m):
-            U[u, letters[u]] = 1
-        for v in range(inst.m):
-            V[letters[inst.m + v], v] = 1
-        residual = int(np.sum(U @ V != inst.targets))
-        return (U, V), residual
+        U, V = (SelectionMatrix(m=inst.m, r=inst.r, k=inst.k, rows=side).dense().astype(np.int64)
+                for side in (letters[:inst.m], letters[inst.m:]))
+        V = V.T  # column v holds the letter of right-hand vertex v
+        return (U, V), int(np.sum(U @ V != inst.targets))
     W = SelectionMatrix(m=inst.m, r=inst.r, k=inst.k, rows=letters)
     dense = W.dense().astype(np.int64)
     prod = dense @ dense.T

@@ -106,11 +106,13 @@ class SelectionMatrix:
             support = np.array(rows)
         except ValueError as exc:  # ragged rows
             raise ParameterError(f"rows are not {k}-subsets: {exc}") from None
-        if support.ndim != 2 or len(support) != m:
+        if support.shape != (m, k):
             raise ParameterError(f"expected {m} rows of {k} indices, got shape {support.shape}")
-        if support.shape[1] != k or support.dtype.kind not in "iu" or _holds_bool(rows):
-            raise ParameterError(f"rows must hold {k} integers (not bools), got "
-                                 f"{support.shape[1]} of dtype {support.dtype}")
+        if support.dtype.kind == "b" or _holds_bool(rows):
+            raise ParameterError("rows hold a bool entry; bools are not indices")
+        if support.dtype.kind not in "iu":
+            raise ParameterError(f"rows must hold indices of an integer dtype, "
+                                 f"got dtype {support.dtype}")
         support = np.sort(support, axis=1).astype(np.intp)
         bad = (support[:, 0] < 0) | (support[:, -1] >= r) | np.any(
             support[:, 1:] == support[:, :-1], axis=1)
@@ -162,8 +164,9 @@ class GramMatrix:
     counts: np.ndarray = None  # optional (m, m) small ints
 
     def __post_init__(self):
-        if np.shape(self.bits) != (self.m, n_words(self.m)):
-            raise ParameterError(f"expected {self.m} rows of {n_words(self.m)} words")
+        if self.m < 1 or np.shape(self.bits) != (self.m, n_words(self.m)):
+            raise ParameterError(f"need m >= 1 and bits of shape (m, ceil(m/64)), "
+                                 f"got m={self.m} and shape {np.shape(self.bits)}")
 
     def entry(self, a: int, b: int) -> int:
         if not (0 <= a < self.m and 0 <= b < self.m):  # numpy would wrap negatives

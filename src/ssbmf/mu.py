@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ParameterError
 from .instance import GramMatrix, _row_chunks
 
+SAMPLE_CONST = 1.0  # leading constant of the sample-size bound
+
 
 @dataclass(frozen=True)
 class MuTable:
@@ -64,34 +66,32 @@ def invert_fraction(frac, table: MuTable) -> int:
     return best_t
 
 
-def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None, extra=None,
+def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None,
                 weights=None) -> np.ndarray:
     """Zero co-occurrence counts of the pairs rows_a x rows_b of packed rows
-    (default: all), or of the triples (a, b, extra), chunked over rows_a: m
-    minus the popcount of the OR, word w weighing weights[w] (default 1), as a
-    float32 product, exact as its partial sums are integers <= m < 2^24.  An
-    m of 2^24 or more would take a packed Gram of at least 32 TiB."""
+    (default: all), chunked over rows_a: m minus the popcount of the OR,
+    word w weighing weights[w] (default 1), as a float32 product, exact as
+    its partial sums are integers <= m < 2^24.  An m of 2^24 or more would
+    take a packed Gram of at least 32 TiB.  A triple count is a pair count
+    over rows with the third row OR-ed into each, since (A|X) | (B|X) = A|B|X."""
     weights = np.ones(bits.shape[1], np.float32) if weights is None else weights.astype(np.float32)
     B = bits if rows_b is None else bits[list(rows_b)]
     rows_a = np.asarray(rows_a, dtype=np.intp)
     out = np.empty((len(rows_a), len(B)), dtype=np.int64)
     for lo, hi in _row_chunks(len(rows_a), B.size):
         A = bits[rows_a[lo:hi]]
-        if extra is not None:
-            A |= bits[extra]
         union = A[:, None, :] | B[None, :, :]
         out[lo:hi] = m - np.bitwise_count(union) @ weights
     return out
 
 
 def count_thresholds(m: int, table: MuTable) -> np.ndarray:
-    """Ascending ceil(m * (mu_t + mu_{t+1}) / 2) over t, in exact integers: a
-    count inverts to the number of thresholds strictly above it."""
-    r, k = table.r, table.k
-    denom = 2 * math.comb(r, k)
-    out = [-(-m * (math.comb(r - t, k) + math.comb(r - t - 1, k)) // denom)
-           for t in range(table.t_max)]
-    return np.array(out[::-1], dtype=np.int64)
+    """Ascending ceil(m * (mu_t + mu_{t+1}) / 2) over t, exact on the
+    table's Fractions: a count inverts to the number of thresholds strictly
+    above it."""
+    mu = table.values
+    return np.array([math.ceil(m * (mu[t] + mu[t + 1]) / 2)
+                     for t in reversed(range(table.t_max))], dtype=np.int64)
 
 
 def invert_counts(counts, thresholds: np.ndarray) -> np.ndarray:
@@ -109,19 +109,17 @@ def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarra
                          count_thresholds(M.m, table))
 
 
-def required_sample_size(r: int, k: int, t: int, delta: float, c0: float = 1.0) -> int:
-    """Smallest m with m >= c0 * (t^2 r / k) * ln(m^3 / delta), floored at 1.
-
-    The leading constant is exposed as a knob; the default is calibrated by
-    the acceptance experiments.
-    """
+def required_sample_size(r: int, k: int, t: int, delta: float) -> int:
+    """Smallest m with m >= SAMPLE_CONST * (t^2 r / k) * ln(m^3 / delta),
+    floored at 1.  The constant is calibrated by the acceptance experiments,
+    which run at this m."""
     if not 1 <= k <= r:
         raise ParameterError(f"need 1 <= k <= r, got r={r} k={k}")
     if not 0 < delta < 1:
         raise ParameterError(f"need 0 < delta < 1, got {delta}")
     if t < 1:
         raise ParameterError(f"need t >= 1, got {t}")
-    coef = c0 * t * t * r / k
+    coef = SAMPLE_CONST * t * t * r / k
 
     def satisfied(m):
         return m >= coef * math.log(m ** 3 / delta)

@@ -87,8 +87,6 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     supports per-entry access, each entry counting zeros in the ORs of its
     three packed rows.  Entries outside {0..k} raise InconsistencyError.
     """
-    if M.m < 1:
-        raise ParameterError("empty Gram matrix")
     m = M.m
     thresholds = count_thresholds(m, mu_table(r, k))
 
@@ -117,7 +115,7 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     for i in range(n):
         # The triples whose smallest position is i, written at all six orders.
         t_triple = invert_counts(
-            zero_counts(bits[i:], m, range(n - i), extra=0, weights=weights), thresholds)
+            zero_counts(bits[i:] | bits[i], m, range(n - i), weights=weights), thresholds)
         row = t_pair[i, i:]
         block[i, i:, i:] = block[i:, i, i:] = block[i:, i:, i] = _pie(
             t_triple, row[:, None], row[None, :], t_pair[i:, i:], k)

@@ -214,6 +214,17 @@ def test_reductions_reject_k_outside_1_to_r(r, k):
             reduce()
 
 
+@pytest.mark.parametrize("mode", ["boolean", "integer"])
+def test_reduce_symmetric_checks_the_shape_before_reading_M(mode):
+    # A bad (r, k) is rejected before the m x m targets are built from M.
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError(f"read M.{name}")
+
+    with pytest.raises(ParameterError, match="got r=2 k=3$"):
+        reduce_symmetric(Unread(), 2, 3, mode)
+
+
 def test_reduce_rejects_bad_entries():
     with pytest.raises(ParameterError):
         reduce_asymmetric(np.array([[3, 0], [0, 3]]), 4, 2)

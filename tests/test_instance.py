@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -113,6 +114,22 @@ def test_selection_matrix_rejects_bad_rows(rows):
         SelectionMatrix(m=len(rows), r=4, k=2, rows=rows)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[True, False]], "rows hold a bool entry; bools are not indices"),
+    ([[0, True]], "rows hold a bool entry; bools are not indices"),
+    (np.array([[True, False]]), "rows hold a bool entry; bools are not indices"),
+    ([["0", "1"]], "rows must hold indices of an integer dtype, got dtype <U1"),
+    ([[0, None]], "rows must hold indices of an integer dtype, got dtype object"),
+    ([[0, 0.5]], "rows must hold indices of an integer dtype, got dtype float64"),
+    ([[0, 2 ** 64]], "rows must hold indices of an integer dtype, got dtype object"),
+    ([[0]], "expected 1 rows of 2 indices, got shape (1, 1)"),
+], ids=["bool", "bool-among-ints", "bool-array", "str", "None", "float", "2**64", "short"])
+def test_selection_matrix_names_the_fault(rows, message):
+    # The message names the entry's fault: only a bool entry mentions bools.
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        SelectionMatrix(m=len(rows), r=4, k=2, rows=rows)
+
+
 def test_selection_matrix_support_is_sorted_and_read_only():
     W = SelectionMatrix(m=2, r=5, k=3, rows=[(4, 0, 2), (1, 3, 2)])
     assert W.rows == ((0, 2, 4), (1, 2, 3))
@@ -139,6 +156,12 @@ def test_gram_entry_rejects_indices_outside_the_rows():
     for a, b in [(0, -1), (-1, 0), (0, 200), (200, 0)]:
         with pytest.raises(IndexError, match="out of range"):
             M.entry(a, b)
+
+
+def test_gram_matrix_needs_a_row():
+    # m = 0 with its (0, 0) words would pass the shape check alone.
+    with pytest.raises(ParameterError, match=r"got m=0 and shape \(0, 0\)$"):
+        GramMatrix(m=0, bits=np.zeros((0, 0), dtype="<u8"))
 
 
 def test_gram_integer_example():
@@ -245,7 +268,8 @@ def test_packed_kernels_match_brute_force(m):
         for _ in range(4):
             rows = rng.integers(0, m, size=size).tolist()
             a, b, *extra = rows if size > 1 else rows * 2  # extra: the third row
-            assert zero_counts(M.bits, m, [a], [b], *extra)[0, 0] == int(zero[rows].all(axis=0).sum())
+            bits = M.bits | M.bits[extra[0]] if extra else M.bits  # third row OR-ed in
+            assert zero_counts(bits, m, [a], [b])[0, 0] == int(zero[rows].all(axis=0).sum())
     table = mu_table(r, k)
     rows_a = rng.integers(0, m, size=5).tolist()
     block = union_block(M, table, rows_a)

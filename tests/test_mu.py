@@ -98,7 +98,8 @@ def test_zero_cooccurrence_against_sets():
     for rows in [(0,), (1, 4), (0, 3, 7)]:
         want = sum(1 for j in range(12) if all(dense[a, j] == 0 for a in rows))
         a, b, *extra = rows if len(rows) > 1 else rows * 2  # extra: the third row
-        assert zero_counts(M.bits, M.m, [a], [b], *extra)[0, 0] == want
+        bits = M.bits | M.bits[extra[0]] if extra else M.bits  # third row OR-ed in
+        assert zero_counts(bits, M.m, [a], [b])[0, 0] == want
 
 
 def test_zero_cooccurrence_bad_row():
@@ -151,7 +152,7 @@ def test_pairwise_union_monte_carlo():
 
 
 def test_required_sample_size_examples():
-    assert required_sample_size(20, 2, 6, 0.1, c0=8.0) == 106661
+    assert required_sample_size(160, 2, 6, 0.1) == 106661
     m = required_sample_size(12, 2, 6, 0.1)
     # self-consistency: m satisfies the bound, m-1 does not
     coef = 6 * 6 * 12 / 2
