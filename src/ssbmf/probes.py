@@ -124,20 +124,26 @@ def rank_report(W: SelectionMatrix, primes=()) -> RankReport:
     """Ranks over F2, each requested prime modulus, and the rationals.
 
     Each requested modulus must be a prime p < 2^31.5 (ParameterError).  The
-    rational rank is first the rank mod RANK_PRIME, a lower bound that
-    certifies a full rank; when that is not full and r <= 200, it is
-    certified exact by fraction-free elimination.
+    rank over any prime field is a lower bound on the rational rank, so a
+    full rank over F2 or over a requested prime certifies a full rational
+    rank at once.  Otherwise the rational rank is first the rank mod
+    RANK_PRIME, which certifies a full rank; when that is not full and
+    r <= 200, it is made exact by fraction-free elimination.
     """
     primes = [int(q) for q in primes]
     for q in primes:
         if not 2 <= q <= 3037000499 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
             raise ParameterError(f"modulus {q} is not a prime below 2^31.5")
-    dense = W.dense()
+    full = min(W.m, W.r)
     f2 = rank_f2(W)
+    dense = W.dense() if primes or f2 < full else None
     modq = {q: rank_modp(dense, q) for q in primes}
+    if max([f2, *modq.values()]) == full:
+        return RankReport(rank_f2=f2, rank_modq=modq, rank_real=full,
+                          notes=["certified by a full rank over a prime field"])
     real = rank_modp(dense, RANK_PRIME)
     notes = [f"modular prime: {RANK_PRIME}"]
-    if real < min(W.m, W.r) and W.r <= 200:
+    if real < full and W.r <= 200:
         real = rank_exact(dense)
         notes.append("certified by fraction-free elimination")
     return RankReport(rank_f2=f2, rank_modq=modq, rank_real=real, notes=notes)
@@ -207,7 +213,7 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
                                seed: int = 0) -> dict:
     """Monte-Carlo max-atom estimate of <w, x> over uniform k-sparse w.
 
-    ``q`` is "real" or an integer modulus >= 2 (a digit string too).
+    ``q`` is "real" or an integer modulus >= 2 (a string of decimal digits too).
     Reports whether the estimate stays below ENVELOPE_CONST * sqrt(r / (s k))
     for the measured non-fibre size s.
     """
@@ -215,7 +221,7 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
         raise ParameterError("need samples >= 1")
     if not 1 <= k <= r:
         raise ParameterError(f"need 1 <= k <= r, got k={k} r={r}")
-    if q != "real" and not (str(q).isdigit() and int(q) >= 2):
+    if q != "real" and not (str(q).isdecimal() and int(q) >= 2):
         raise ParameterError(f"q must be 'real' or an integer >= 2, got {q!r}")
     x = np.asarray(x)
     if x.shape != (r,):

@@ -93,8 +93,8 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     def entry_fn(a, b, c):
         if not all(0 <= i < m for i in (a, b, c)):  # numpy would wrap negatives
             raise IndexError(f"entry ({a},{b},{c}) out of range for m={m}")
-        A, B, C = M.bits[[a, b, c]]
-        unions = np.stack([A | B | C, A | B, A | C, B | C])
+        unions = M.bits[[a, a, a, b]] | M.bits[[b, b, c, c]]  # A|B, A|B, A|C, B|C
+        unions[0] |= M.bits[c]  # A|B|C
         counts = m - np.bitwise_count(unions).sum(axis=1, dtype=np.int64)
         val = _pie(*invert_counts(counts, thresholds).tolist(), k)
         if not 0 <= val <= k:

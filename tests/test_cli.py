@@ -183,6 +183,24 @@ def test_probes_accept_negative_seeds(capsys):
                  "--trials", "20", "--seed", "-1"]) == 0
 
 
+def test_anticoncentration_names_a_modulus_that_is_not_decimal(capsys):
+    # "²" is a digit to str.isdigit but not a base-10 numeral to int().
+    assert main(["probe", "anticoncentration", "--r", "10", "--k", "3", "--q", "²"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q must be 'real' or an integer >= 2, got '²'\n"
+
+
+def test_singularity_even_k_is_never_full_over_f2(capsys):
+    # Even k puts the all-ones vector in the F2 kernel, so every rational rank
+    # comes through the modular fallback.
+    assert main(["probe", "singularity", "--m", "160", "--r", "40", "--k", "4",
+                 "--trials", "30", "--seed", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["f2_frequency"] == 0
+    assert out["real_frequency"] >= 0.95
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["probe", "rank", "--in", "w.json", "--seed", "1"], "--seed 1"),
     (["probe", "krawtchouk", "--r", "32", "--k", "5", "--m", "3"], "--m 3"),

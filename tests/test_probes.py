@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbmf import ParameterError, gen_selection_matrix, probes
 from ssbmf.instance import SelectionMatrix, split_seed
@@ -119,10 +121,12 @@ def test_rank_report_certifies_deficiency():
 
 @pytest.mark.parametrize("full", [True, False])
 def test_rank_report_takes_one_modular_rank_then_certifies_deficiency(full, monkeypatch):
-    # A full rank mod one prime certifies full rank over the rationals; a
-    # deficient one goes to fraction-free elimination (r <= 200).
+    # Without a full rank over F2 (even k forces rank_f2 <= r - 1), a full rank
+    # mod one prime certifies full rank over the rationals; a deficient one
+    # goes to fraction-free elimination (r <= 200).
     if full:
-        W = gen_selection_matrix(160, 40, 3, seed=4)
+        W = gen_selection_matrix(160, 40, 4, seed=4)
+        assert rank_f2(W) < 40
     else:
         W = SelectionMatrix(m=5, r=4, k=2, rows=[(0, 1)] * 5)
     seen = []
@@ -133,6 +137,39 @@ def test_rank_report_takes_one_modular_rank_then_certifies_deficiency(full, monk
     assert report.notes[0] == f"modular prime: {probes.RANK_PRIME}"
     assert any("fraction-free" in note for note in report.notes) == (not full)
     assert report.rank_real == rank_exact(W.dense())
+
+
+@pytest.mark.parametrize("k, primes, seen_want", [(3, (), []), (4, (3,), [3])],
+                         ids=["f2", "requested-prime"])
+def test_rank_report_certifies_a_full_rank_from_a_prime_field(k, primes, seen_want,
+                                                              monkeypatch):
+    # A full rank over any prime field is a full rational rank: no further
+    # elimination, and no dense matrix unless a requested prime reads it.
+    W = gen_selection_matrix(160, 40, k, seed=4)
+    seen = []
+    monkeypatch.setattr(probes, "rank_modp", lambda A, p: seen.append(p) or rank_modp(A, p))
+    if not primes:
+        monkeypatch.setattr(SelectionMatrix, "dense", lambda self: pytest.fail("dense built"))
+    report = rank_report(W, primes=primes)
+    assert seen == seen_want
+    assert report.notes == ["certified by a full rank over a prime field"]
+    assert report.rank_real == 40
+    monkeypatch.undo()
+    assert report.rank_real == rank_exact(W.dense())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 10), st.data(), st.integers(0, 2 ** 32),
+       st.booleans())
+def test_rank_report_bounds_and_matches_the_exact_rank(m, r, data, seed, with_primes):
+    # m < r, even and odd k, and the requested primes 2 and 3 all occur.
+    k = data.draw(st.integers(1, r))
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    report = rank_report(W, primes=[2, 3] if with_primes else [])
+    assert report.rank_real == rank_exact(W.dense())
+    assert report.rank_real >= report.rank_f2
+    assert all(report.rank_real >= v for v in report.rank_modq.values())
+    assert set(report.rank_modq) == ({2, 3} if with_primes else set())
 
 
 @pytest.mark.parametrize("m, r, k, seed", [
@@ -228,9 +265,9 @@ def test_rank_report_accepts_the_largest_prime_below_the_bound():
     assert report.rank_modq[3037000493] == report.rank_real == 40
 
 
-@pytest.mark.parametrize("q", [0, 1, -3, "1", "-3", "2.5", "abc", 2.5, True],
+@pytest.mark.parametrize("q", [0, 1, -3, "1", "-3", "2.5", "abc", 2.5, True, "²"],
                          ids=["0", "1", "-3", "str-1", "str--3", "str-2.5", "str-abc",
-                              "float-2.5", "bool"])
+                              "float-2.5", "bool", "str-superscript-2"])
 def test_anticoncentration_rejects_moduli_below_two_and_non_integers(q):
     with pytest.raises(ParameterError, match="integer >= 2"):
         anticoncentration_estimate(np.arange(10), 10, 3, q=q, samples=50)
