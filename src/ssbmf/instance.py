@@ -71,6 +71,16 @@ def _holds_bool(rows) -> bool:
         isinstance(x, (bool, np.bool_)) for row in rows for x in row)
 
 
+def _check_entry(m: int, idx: tuple) -> None:
+    """IndexError unless each index of an entry is an integer in [0, m), where
+    numpy would read a bool or a float as some row and wrap a negative."""
+    for i in idx:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise IndexError(f"entry ({','.join(map(str, idx))}): {i!r} is not an integer index")
+        if not 0 <= i < m:
+            raise IndexError(f"entry ({','.join(map(str, idx))}) out of range for m={m}")
+
+
 def split_seed(seed: int, index: int) -> int:
     """Seed of child stream ``index`` of ``seed``: a 128-bit hash of both
     integers, so distinct (seed, index) pairs, nested splits included, give
@@ -169,8 +179,7 @@ class GramMatrix:
                                  f"got m={self.m} and shape {np.shape(self.bits)}")
 
     def entry(self, a: int, b: int) -> int:
-        if not (0 <= a < self.m and 0 <= b < self.m):  # numpy would wrap negatives
-            raise IndexError(f"entry ({a},{b}) out of range for m={self.m}")
+        _check_entry(self.m, (a, b))
         return int(self.bits[a, b >> 6] >> (b & 63)) & 1
 
     def dense(self, rows=None) -> np.ndarray:

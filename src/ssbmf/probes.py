@@ -58,21 +58,21 @@ class RankReport:
 
 
 def rank_f2(W: SelectionMatrix) -> int:
-    """Column rank over F2 by bit-packed elimination on the r-bit row masks."""
-    pivots = []
-    rank = 0
-    for support in W.rows:
+    """Column rank over F2 by elimination on the r-bit row masks, each pivot
+    kept under its lowest set bit: a row meets only the pivots of the bits
+    it holds, and each XOR clears its lowest bit."""
+    pivots = {}
+    for support in W.support.tolist():
         row = sum(1 << j for j in support)
-        for piv in pivots:
-            low = piv & -piv
-            if row & low:
-                row ^= piv
-        if row:
-            pivots.append(row)
-            rank += 1
-            if rank == W.r:
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
                 break
-    return rank
+            row ^= pivots[low]
+        if len(pivots) == W.r:
+            break
+    return len(pivots)
 
 
 def rank_modp(matrix: np.ndarray, p: int) -> int:

@@ -5,6 +5,9 @@ from mu-inverted union sizes:
 
     T_abc = t_abc - t_ab - t_ac - t_bc + 3k.
 
+Every path reads the union sizes from one table per tensor, the inversion of
+each zero count 0..m.
+
 An anchored block reads only the anchor rows of M, merged over their
 distinct columns into weighted packed words whose zero counts
 (``mu.zero_counts``) equal those of the full rows.  The tensor is symmetric,
@@ -19,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InconsistencyError, ParameterError
-from .instance import _WORD, GramMatrix, SelectionMatrix, _pack, _unpack
+from .instance import _WORD, GramMatrix, SelectionMatrix, _check_entry, _pack, _unpack
 from .mu import count_thresholds, invert_counts, mu_table, zero_counts
 
 
@@ -39,6 +42,7 @@ class IntersectionTensor:
         self._pos = {idx: i for i, idx in enumerate(self.indices or ())}
 
     def entry(self, a: int, b: int, c: int) -> int:
+        _check_entry(self.m, (a, b, c))
         if a in self._pos and b in self._pos and c in self._pos:
             return int(self.block[self._pos[a], self._pos[b], self._pos[c]])
         if self._entry_fn is None:
@@ -88,15 +92,17 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     three packed rows.  Entries outside {0..k} raise InconsistencyError.
     """
     m = M.m
-    thresholds = count_thresholds(m, mu_table(r, k))
+    # Union size of every zero count 0..m: the one mu-inversion per tensor.
+    size_of = invert_counts(np.arange(m + 1), count_thresholds(m, mu_table(r, k)))
+    sizes = size_of.tolist()  # a list reads one entry faster than the array
 
     def entry_fn(a, b, c):
-        if not all(0 <= i < m for i in (a, b, c)):  # numpy would wrap negatives
-            raise IndexError(f"entry ({a},{b},{c}) out of range for m={m}")
-        unions = M.bits[[a, a, a, b]] | M.bits[[b, b, c, c]]  # A|B, A|B, A|C, B|C
-        unions[0] |= M.bits[c]  # A|B|C
-        counts = m - np.bitwise_count(unions).sum(axis=1, dtype=np.int64)
-        val = _pie(*invert_counts(counts, thresholds).tolist(), k)
+        A, B, C = M.bits[a], M.bits[b], M.bits[c]
+        unions = np.empty((4, M.bits.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
+        np.bitwise_or(np.bitwise_or(A, B, out=unions[1]), C, out=unions[0])
+        np.bitwise_or(A, C, out=unions[2])
+        np.bitwise_or(B, C, out=unions[3])
+        val = _pie(*[sizes[m - n] for n in np.bitwise_count(unions).sum(axis=1).tolist()], k)
         if not 0 <= val <= k:
             raise InconsistencyError((a, b, c), val)
         return val
@@ -110,12 +116,11 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     idx = list(anchors)
     n = len(idx)
     bits, weights = _distinct_columns(M, idx)
-    t_pair = invert_counts(zero_counts(bits, m, range(n), weights=weights), thresholds)
+    t_pair = size_of[zero_counts(bits, m, range(n), weights=weights)]
     block = np.empty((n, n, n), dtype=np.int16)
     for i in range(n):
         # The triples whose smallest position is i, written at all six orders.
-        t_triple = invert_counts(
-            zero_counts(bits[i:] | bits[i], m, range(n - i), weights=weights), thresholds)
+        t_triple = size_of[zero_counts(bits[i:] | bits[i], m, range(n - i), weights=weights)]
         row = t_pair[i, i:]
         block[i, i:, i:] = block[i:, i, i:] = block[i:, i:, i] = _pie(
             t_triple, row[:, None], row[None, :], t_pair[i:, i:], k)

@@ -158,6 +158,18 @@ def test_gram_entry_rejects_indices_outside_the_rows():
             M.entry(a, b)
 
 
+@pytest.mark.parametrize("index", [True, np.True_, False, 1.0, 1.5, np.float64(2.0), "1"])
+def test_gram_entry_rejects_an_index_that_is_not_an_integer(index):
+    # A bool would silently read row or column 0 or 1; numpy's own errors
+    # for a float name no entry.
+    M = gram(gen_selection_matrix(200, 6, 2, seed=1))
+    for pair in ((index, 0), (0, index)):
+        name = ",".join(map(str, pair))
+        with pytest.raises(IndexError, match=rf"^entry \({name}\): .* is not an integer index$"):
+            M.entry(*pair)
+    assert M.entry(np.int64(3), np.uint8(199)) == M.dense()[3, 199]
+
+
 def test_gram_matrix_needs_a_row():
     # m = 0 with its (0, 0) words would pass the shape check alone.
     with pytest.raises(ParameterError, match=r"got m=0 and shape \(0, 0\)$"):

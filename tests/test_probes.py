@@ -70,21 +70,43 @@ def test_rank_f2_examples():
     assert rank_f2(W) <= 9
 
 
-def test_rank_f2_matches_reference_elimination():
-    # independent mod-2 elimination written directly on the dense matrix
-    W = gen_selection_matrix(20, 8, 3, seed=2)
+def _rank_mod2(W):
+    """Rank of W's dense 0/1 matrix by Gauss-Jordan elimination mod 2,
+    written independently of the bit masks."""
     A = W.dense().astype(int).tolist()
     rank = 0
-    for col in range(8):
-        piv = next((i for i in range(rank, 20) if A[i][col] % 2), None)
+    for col in range(W.r):
+        piv = next((i for i in range(rank, W.m) if A[i][col] % 2), None)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        for i in range(20):
+        for i in range(W.m):
             if i != rank and A[i][col] % 2:
                 A[i] = [(a - b) % 2 for a, b in zip(A[i], A[rank])]
         rank += 1
-    assert rank_f2(W) == rank
+    return rank
+
+
+def test_rank_f2_matches_reference_elimination():
+    W = gen_selection_matrix(20, 8, 3, seed=2)
+    assert rank_f2(W) == _rank_mod2(W)
+
+
+@pytest.mark.parametrize("W", [
+    gen_selection_matrix(100, 80, 3, seed=2),    # masks wider than 63 bits
+    gen_selection_matrix(300, 130, 5, seed=3),
+    gen_selection_matrix(10, 40, 3, seed=4),     # m < r
+    gen_selection_matrix(90, 70, 1, seed=5),     # m > r, k = 1: rank = distinct columns hit
+    gen_selection_matrix(60, 20, 4, seed=6),     # even k: rank <= r - 1
+    gen_selection_matrix(200, 66, 2, seed=7),
+    SelectionMatrix(m=6, r=80, k=3, rows=[(1, 5, 77)] * 3 + [(0, 2, 64)] * 3),  # duplicates
+    # dependent: rows 0-2 sum to zero mod 2, and row 4 repeats row 3
+    SelectionMatrix(m=5, r=80, k=4, rows=[(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5),
+                                          (10, 11, 70, 79), (10, 11, 70, 79)]),
+], ids=["r80", "r130", "m-lt-r", "k1", "even-k", "r66-k2", "duplicates", "dependent"])
+def test_rank_f2_matches_the_dense_reference_and_the_mod2_rank(W):
+    assert rank_f2(W) == _rank_mod2(W)
+    assert rank_report(W, primes=[2]).rank_modq[2] == rank_f2(W)
 
 
 def test_rank_modp_and_exact_agree_with_numpy():

@@ -1,4 +1,5 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ssbmf import (InconsistencyError, ParameterError, build_tensor,
                    gen_selection_matrix, gram, mu_table, oracle_tensor)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import count_thresholds, invert_counts
+from ssbmf.mu import count_thresholds, invert_counts, invert_fraction
 from ssbmf.tensor import contract
 
 
@@ -105,16 +106,20 @@ def test_anchored_block_matches_oracle_with_repeated_classes(order):
     assert T.indices == tuple(anchors)
 
 
-def _reference_block(M, r, k, anchors):
-    """The anchored block with zero counts taken straight from M's dense
-    anchor rows: the block, or (triple, value) of its first bad entry."""
-    table = mu_table(r, k)
+def _bootstrap(M, r, k, anchors):
+    """The raw anchored block, out-of-range entries included, with zero
+    counts taken straight from M's dense anchor rows."""
+    thresholds = count_thresholds(M.m, mu_table(r, k))
     zero = 1.0 - M.dense()[anchors]
-    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), count_thresholds(M.m, table))
+    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), thresholds)
     triples = invert_counts(np.rint(np.einsum("aj,bj,cj->abc", zero, zero, zero,
-                                              optimize=True)).astype(np.int64),
-                            count_thresholds(M.m, table))
-    block = triples - pairs[:, :, None] - pairs[:, None, :] - pairs[None, :, :] + 3 * k
+                                              optimize=True)).astype(np.int64), thresholds)
+    return triples - pairs[:, :, None] - pairs[:, None, :] - pairs[None, :, :] + 3 * k
+
+
+def _reference_block(M, r, k, anchors):
+    """The dense bootstrap: the block, or (triple, value) of its first bad entry."""
+    block = _bootstrap(M, r, k, anchors)
     bad = np.argwhere((block < 0) | (block > k))
     if len(bad):
         i, j, l = bad[0]
@@ -200,20 +205,111 @@ def test_lazy_entry_raises_inconsistency():
 
 @pytest.mark.parametrize("mode", ["lazy", "anchored"])
 def test_tensor_builds_its_thresholds_once(mode, monkeypatch):
+    # One threshold array and one count -> size table per tensor, not one
+    # inversion per entry or per slice.
     import ssbmf.tensor
-    calls = []
+    calls, inversions = [], []
 
     def counting(m, table):
         calls.append((m, table.r, table.k))
         return count_thresholds(m, table)
 
+    def inverting(counts, thresholds):
+        inversions.append(len(counts))
+        return invert_counts(counts, thresholds)
+
     monkeypatch.setattr(ssbmf.tensor, "count_thresholds", counting)
+    monkeypatch.setattr(ssbmf.tensor, "invert_counts", inverting)
     W = gen_selection_matrix(600, 8, 2, seed=4)
     T = build_tensor(gram(W), 8, 2, mode=mode, anchors=None if mode == "lazy" else range(24))
     oracle = oracle_tensor(W)
     triples = np.random.default_rng(0).integers(0, 600, size=(100, 3)).tolist()
     assert [T.entry(*t) for t in triples] == [oracle.entry(*t) for t in triples]
     assert calls == [(600, 8, 2)]
+    assert inversions == [601]
+
+
+@pytest.mark.parametrize("m, r, k", [(8, 4, 1), (10, 5, 1), (600, 8, 2), (1000, 16, 3),
+                                     (64, 12, 3), (65, 5, 1)])
+def test_size_table_equals_the_exact_inversion_of_every_count(m, r, k, monkeypatch):
+    # All but m = 65 put some count exactly on the midpoint of two
+    # consecutive mu values, where the tie goes to the smaller union size.
+    import ssbmf.tensor
+    tables = []
+
+    def keeping(counts, thresholds):
+        tables.append(invert_counts(counts, thresholds))
+        return tables[-1]
+
+    monkeypatch.setattr(ssbmf.tensor, "invert_counts", keeping)
+    build_tensor(gram(gen_selection_matrix(m, r, k, seed=m)), r, k, mode="lazy")
+    table = mu_table(r, k)
+    assert tables[0].tolist() == [invert_fraction(Fraction(c, m), table) for c in range(m + 1)]
+    mu = table.values
+    ties = {int(m * (mu[t] + mu[t + 1]) / 2): t for t in range(table.t_max)
+            if (m * (mu[t] + mu[t + 1]) / 2).denominator == 1}
+    assert bool(ties) == (m != 65)
+    assert all(tables[0][c] == t for c, t in ties.items())
+
+
+def _exact_population(m, k):
+    """m rows whose bootstrapped tensor is exact: k = 1 balances the
+    1-subsets of [r], k = 2 holds every pair of [8] twice and a few more,
+    k = 3 every 3-subset of [12].  Returns (r, rows)."""
+    if k == 1:
+        r = {63: 7, 64: 8, 65: 5}[m]
+        return r, np.random.default_rng(r).permutation(np.repeat(np.arange(r), m // r))[:, None]
+    if k == 2:
+        more = [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7), (0, 3)]
+        return 8, list(combinations(range(8), 2)) * 2 + more[:m - 56]
+    return 12, list(combinations(range(12), 3))
+
+
+@pytest.mark.parametrize("m, k", [(63, 1), (64, 1), (65, 1), (63, 2), (64, 2), (65, 2),
+                                  (220, 3)])
+def test_lazy_entries_match_the_oracle_on_ordered_triples(m, k):
+    # Every ordered triple of rows 0..11 and the last 8, which hold repeated
+    # supports and the k = 2 rows past the full population; m = 63, 64 and 65
+    # put the padding at a word boundary, m = 220 has 36 padding bits.
+    r, rows = _exact_population(m, k)
+    W = SelectionMatrix(m=m, r=r, k=k, rows=rows)
+    T = build_tensor(gram(W), r, k, mode="lazy")
+    want = oracle_tensor(W, materialize=True).block
+    idx = list(range(12)) + list(range(m - 8, m))
+    assert all(T.entry(a, b, c) == want[a, b, c] for a, b, c in product(idx, repeat=3))
+
+
+@pytest.mark.parametrize("m", [63, 64, 65])
+def test_lazy_entries_match_the_dense_bootstrap_at_k3(m):
+    # k = 3 at m ~ 64 is far below the sample size: many entries leave
+    # {0..k}, and each such entry raises with the dense bootstrap's value.
+    M = gram(gen_selection_matrix(m, 12, 3, seed=m))
+    T = build_tensor(M, 12, 3, mode="lazy")
+    want = _bootstrap(M, 12, 3, list(range(m)))
+    bad = 0
+    for a, b, c in product(list(range(10)) + list(range(m - 6, m)), repeat=3):
+        if 0 <= want[a, b, c] <= 3:
+            assert T.entry(a, b, c) == want[a, b, c]
+        else:
+            bad += 1
+            with pytest.raises(InconsistencyError) as exc:
+                T.entry(a, b, c)
+            assert (exc.value.triple, exc.value.value) == ((a, b, c), want[a, b, c])
+    assert bad > 0
+
+
+@pytest.mark.parametrize("mode", ["lazy", "anchored"])
+@pytest.mark.parametrize("index", [True, np.True_, False, 1.0, 1.5, np.float64(2.0), "1"])
+def test_entry_rejects_an_index_that_is_not_an_integer(mode, index):
+    # A bool would silently read row 0 or 1, a float is not a row at all.
+    W = gen_selection_matrix(300, 8, 2, seed=1)
+    T = build_tensor(gram(W), 8, 2, mode=mode, anchors=None if mode == "lazy" else range(8))
+    for triple in ((index, 0, 1), (0, index, 1), (0, 1, index)):
+        name = ",".join(map(str, triple))
+        with pytest.raises(IndexError, match=rf"^entry \({name}\): .* is not an integer index$"):
+            T.entry(*triple)
+    oracle = oracle_tensor(W)
+    assert T.entry(np.int64(3), np.uint8(1), 2) == oracle.entry(3, 1, 2)
 
 
 @pytest.mark.parametrize("anchors, triple", [
