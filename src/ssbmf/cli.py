@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     recovery.add_argument("--r", type=int, required=True)
     recovery.add_argument("--k", type=int, required=True)
     recovery.add_argument("--anchors", type=int, default=None,
-                          help="anchor rows; m uses all rows")
+                          help="anchor rows; m uses all rows, which builds an m^3 int16 "
+                               "block (about 50 GiB at m=3000)")
     recovery.add_argument("--seed", type=int, default=0)
     recovery.add_argument("--out", default=None)
 

@@ -265,15 +265,21 @@ def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
 
 
 def _gram_rows(W: SelectionMatrix):
-    """Packed Boolean Gram rows of W in chunks: yields (lo, hi, rows lo..hi-1).
+    """Packed Boolean Gram rows of W in chunks: yields (lo, hi, rows lo..hi-1),
+    a fresh array the caller may overwrite.
 
     Row a is the OR of the packed column masks of a's support, so the cost
-    is m*k word-row operations.
+    is m*k word-row operations: one gather per support position, OR-ed in
+    place.
     """
     m = W.m
     cols = _pack(W.dense().T)
     for lo, hi in _row_chunks(m, W.k * n_words(m)):
-        yield lo, hi, np.bitwise_or.reduce(cols[W.support[lo:hi]], axis=1)
+        support = W.support[lo:hi]
+        rows = cols[support[:, 0]]
+        for t in range(1, W.k):
+            rows |= cols[support[:, t]]
+        yield lo, hi, rows
 
 
 def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:
@@ -294,13 +300,16 @@ def factorization_error(M: GramMatrix, W: SelectionMatrix) -> int:
     """Number of Boolean entries where M differs from gram(W).
 
     Symmetric disagreements are double-counted (full-matrix L0).  gram(W) is
-    compared chunk by chunk and never held whole.
+    compared chunk by chunk and never held whole; a chunk is popcounted only
+    when its XOR with M has a nonzero word.
     """
     if M.m != W.m:
         raise ParameterError(f"M is {M.m}x{M.m} but W has {W.m} rows")
     total = 0
     for lo, hi, rows in _gram_rows(W):
-        total += int(np.bitwise_count(rows ^ M.bits[lo:hi]).sum())
+        rows ^= M.bits[lo:hi]
+        if np.count_nonzero(rows):
+            total += int(np.bitwise_count(rows).sum())
     return total
 
 

@@ -171,7 +171,7 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
                 f"row {rest[i]} rounded to sparsity {int(sums[i])}, expected {k}")
         raise ExtensionError(f"row {rest[i]} fails the intersection re-check")
     rounded[rest] = extended
-    return SelectionMatrix(m=M.m, r=r, k=k, rows=np.nonzero(rounded)[1].reshape(M.m, k))
+    return SelectionMatrix(m=M.m, r=r, k=k, rows=(np.flatnonzero(rounded) % r).reshape(M.m, k))
 
 
 def match_columns(W_hat: SelectionMatrix, W_ref: SelectionMatrix):
@@ -226,6 +226,8 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     if r < 1 or k < 1 or k > r:
         raise ParameterError(f"invalid r={r}, k={k}")
     m = M.m
+    if config.anchors is None and m < r:
+        raise ParameterError(f"m={m} rows are fewer than r={r}; recovery needs at least r rows")
     n0 = min(m, max(4 * r, r + 16)) if config.anchors is None else config.anchors
     if not (isinstance(n0, (int, np.integer)) and r <= n0 <= m):
         raise ParameterError(f"anchor count {n0!r} is not an integer in [r={r}, m={m}]")

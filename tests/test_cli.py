@@ -256,6 +256,12 @@ def test_bench_subcommand(capsys):
     assert out["recover_eigen_gap"] > 0
 
 
+def test_bench_with_m_below_r_names_m(capsys):
+    assert main(["bench", "--m", "10", "--r", "16", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "m=10" in captured.err and "anchor count" not in captured.err
+
+
 def test_bench_defaults_to_the_suggested_sample_size(capsys):
     assert main(["bench"]) == 0
     out = json.loads(capsys.readouterr().out)

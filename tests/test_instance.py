@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ssbmf import (ParameterError, SelectionMatrix, factorization_error,
                    gen_selection_matrix, gram, mu_table, split_seed)
 from ssbmf.cli import main
-from ssbmf.instance import GramMatrix
+from ssbmf.instance import GramMatrix, _row_chunks, n_words
 from ssbmf.mu import invert_fraction, union_block, zero_counts
 
 
@@ -263,6 +263,45 @@ def test_gram_roundtrip_property(seed, data):
     assert factorization_error(M, W) == 0
     assert np.array_equal(GramMatrix.from_json(M.to_json()).bits, M.bits)
     assert SelectionMatrix.from_json(W.to_json()).rows == W.rows
+
+
+@pytest.mark.parametrize("m, k", [(3000, 1), (2100, 2), (1800, 3)])
+def test_gram_rows_cross_chunk_boundaries(m, k):
+    # Sizes where the Gram-row kernel runs at least three chunks, so the chunk
+    # loop and factorization_error's skip of an all-zero chunk are both reached.
+    chunks = list(_row_chunks(m, k * n_words(m)))
+    assert len(chunks) >= 3
+    (_, boundary), (middle, _), (last, _) = chunks[0], chunks[1], chunks[-1]
+
+    def dense_gram(W):  # dense reference: supports meet iff the integer product is positive
+        dense = W.dense().astype(np.int32)
+        return (dense @ dense.T > 0).astype(np.int8)
+
+    def flipped(M, *entries):
+        bits = M.bits.copy()
+        for a, b in entries:
+            bits[a, b // 64] ^= np.uint64(1 << (b % 64))
+        return GramMatrix(m=M.m, bits=bits)
+
+    W = gen_selection_matrix(m, 16, k, seed=m)
+    want = dense_gram(W)
+    M = gram(W)
+    assert np.array_equal(M.dense(), want)
+    assert factorization_error(M, W) == 0
+    # One bit in the last chunk only, then bits on both sides of the first
+    # boundary, a diagonal entry among them.
+    for entries in ([(m - 1, 5)],
+                    [(boundary - 1, 7), (boundary, boundary), (boundary, m - 1)]):
+        bad = flipped(M, *entries)
+        assert factorization_error(bad, W) == int((bad.dense() != want).sum()) == len(entries)
+    # A corrupted row of W in a middle chunk disagrees in its row and column.
+    support = W.support.copy()
+    support[middle + 1] = (support[middle + 1] + 1) % 16
+    W2 = SelectionMatrix(m=m, r=16, k=k, rows=support)
+    want2 = dense_gram(W2)
+    assert np.array_equal(gram(W2).dense(), want2)
+    errors = int((want != want2).sum())
+    assert errors > 0 and factorization_error(M, W2) == errors
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 130])

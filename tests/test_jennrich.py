@@ -337,6 +337,18 @@ def test_tensor_recover_parameter_errors_raise():
             tensor_recover(M, 6, 2, RecoverConfig(anchors=anchors))
 
 
+def test_tensor_recover_names_m_and_r_when_m_is_below_r():
+    # With the default anchor count, too few rows is a fault of m, not of an
+    # anchor count the caller never gave; an explicit count keeps its message.
+    M = gram(gen_selection_matrix(10, 16, 3, seed=0))
+    with pytest.raises(ParameterError,
+                       match=r"^m=10 rows are fewer than r=16; recovery needs at least r rows$"):
+        tensor_recover(M, 16, 3)
+    with pytest.raises(ParameterError,
+                       match=r"^anchor count 12 is not an integer in \[r=16, m=10\]$"):
+        tensor_recover(M, 16, 3, RecoverConfig(anchors=12))
+
+
 def test_tensor_recover_rejects_non_integer_anchor_counts():
     M = gram(gen_selection_matrix(200, 6, 2, seed=0))
     for anchors in (30.0, np.float64(30)):
