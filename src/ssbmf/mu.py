@@ -66,22 +66,26 @@ def invert_fraction(frac, table: MuTable) -> int:
     return best_t
 
 
+def _zero_count(union: np.ndarray, m: int, weights: np.ndarray) -> np.ndarray:
+    """m minus the popcount of the packed words on union's last axis, word w
+    weighing the float32 weights[w], as a float32 product, exact as its
+    partial sums are integers <= m < 2^24.  An m of 2^24 or more would take
+    a packed Gram of at least 32 TiB."""
+    return (m - np.bitwise_count(union) @ weights).astype(np.int64)
+
+
 def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None,
                 weights=None) -> np.ndarray:
     """Zero co-occurrence counts of the pairs rows_a x rows_b of packed rows
-    (default: all), chunked over rows_a: m minus the popcount of the OR,
-    word w weighing weights[w] (default 1), as a float32 product, exact as
-    its partial sums are integers <= m < 2^24.  An m of 2^24 or more would
-    take a packed Gram of at least 32 TiB.  A triple count is a pair count
-    over rows with the third row OR-ed into each, since (A|X) | (B|X) = A|B|X."""
+    (default: all), chunked over rows_a: ``_zero_count`` of each pair's OR,
+    word w weighing weights[w] (default 1)."""
     weights = np.ones(bits.shape[1], np.float32) if weights is None else weights.astype(np.float32)
     B = bits if rows_b is None else bits[list(rows_b)]
     rows_a = np.asarray(rows_a, dtype=np.intp)
     out = np.empty((len(rows_a), len(B)), dtype=np.int64)
     for lo, hi in _row_chunks(len(rows_a), B.size):
         A = bits[rows_a[lo:hi]]
-        union = A[:, None, :] | B[None, :, :]
-        out[lo:hi] = m - np.bitwise_count(union) @ weights
+        out[lo:hi] = _zero_count(A[:, None, :] | B[None, :, :], m, weights)
     return out
 
 

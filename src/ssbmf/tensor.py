@@ -10,20 +10,25 @@ each zero count 0..m.
 
 An anchored block reads only the anchor rows of M, merged over their
 distinct columns into weighted packed words whose zero counts
-(``mu.zero_counts``) equal those of the full rows.  The tensor is symmetric,
-so the block computes each unordered anchor triple once: slice i ORs anchor
-i into the anchors from position i on, pairs them, and writes the result at
-all six index orders.  An exact oracle built directly from the generating
+(``mu.zero_counts``) equal those of the full rows.  Its entries with a
+repeated index come from the pair counts alone, T_aab = 3k - t_aa - t_ab,
+and they bound the rest: T_abc <= min(T_aab, T_abb, T_aac, ...).  So a
+distinct triple with a zero pair entry is 0 without a count, and one
+chunked pass counts each other unordered triple once and writes it at all
+six index orders.  An exact oracle built directly from the generating
 supports is provided for testing.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import InconsistencyError, ParameterError
-from .instance import _WORD, GramMatrix, SelectionMatrix, _check_entry, _pack, _unpack
-from .mu import count_thresholds, invert_counts, mu_table, zero_counts
+from .instance import (_WORD, GramMatrix, SelectionMatrix, _check_entry, _pack, _row_chunks,
+                       _unpack)
+from .mu import _zero_count, count_thresholds, invert_counts, mu_table, zero_counts
 
 
 class IntersectionTensor:
@@ -82,14 +87,43 @@ def _distinct_columns(M: GramMatrix, rows):
     return np.concatenate(planes, axis=1), np.concatenate(weights)
 
 
+def _check_block_fits(n: int) -> None:
+    """ParameterError unless an n^3 int16 block fits in physical memory."""
+    need = n ** 3 * np.dtype(np.int16).itemsize
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ParameterError(
+            f"n0={n} anchors need an n0^3 int16 tensor block of {need / 2 ** 30:.3g} GiB, "
+            f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
+
+
+def _open_triples(meet: np.ndarray, bits: np.ndarray):
+    """Chunks (I, J, L, bits[I] | bits[J] | bits[L]) over the positions
+    I < J < L whose three pairs all meet, in block order.  Each pair's OR
+    is taken once, and a chunk of unions holds at most _CHUNK_WORDS words."""
+    n, words = bits.shape
+    upper = np.triu(meet, 1)
+    I, J = np.nonzero(upper)
+    for lo, hi in _row_chunks(len(I), max(n, words)):
+        i, j = I[lo:hi], J[lo:hi]
+        p, L = np.nonzero(upper[i] & upper[j])
+        pair_union = bits[i] | bits[j]
+        for s, e in _row_chunks(len(L), words):
+            union = pair_union[p[s:e]]
+            union |= bits[L[s:e]]
+            yield i[p[s:e]], j[p[s:e]], L[s:e], union
+
+
 def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
                  anchors=None) -> IntersectionTensor:
     """Bootstrap the intersection tensor from the Boolean Gram matrix.
 
     mode="anchored" materializes the subtensor on the given anchor rows
-    (anchors=range(m) gives the whole tensor, memory m^3); mode="lazy" only
-    supports per-entry access, each entry counting zeros in the ORs of its
-    three packed rows.  Entries outside {0..k} raise InconsistencyError.
+    (anchors=range(m) gives the whole tensor, memory m^3; a block beyond
+    physical memory raises ParameterError) and sets a distinct triple with a
+    zero pair entry to 0 by the pair bound; mode="lazy" only supports
+    per-entry access, each entry counting zeros in the ORs of its three
+    packed rows.  Entries outside {0..k} raise InconsistencyError.
     """
     m = M.m
     # Union size of every zero count 0..m: the one mu-inversion per tensor.
@@ -115,18 +149,27 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
         raise ParameterError("anchored mode requires an anchor set")
     idx = list(anchors)
     n = len(idx)
+    _check_block_fits(n)
     bits, weights = _distinct_columns(M, idx)
+    weights = weights.astype(np.float32)
     t_pair = size_of[zero_counts(bits, m, range(n), weights=weights)]
-    block = np.empty((n, n, n), dtype=np.int16)
-    for i in range(n):
-        # The triples whose smallest position is i, written at all six orders.
-        t_triple = size_of[zero_counts(bits[i:] | bits[i], m, range(n - i), weights=weights)]
-        row = t_pair[i, i:]
-        block[i, i:, i:] = block[i:, i, i:] = block[i:, i:, i] = _pie(
-            t_triple, row[:, None], row[None, :], t_pair[i:, i:], k)
-    bad = (block < 0) | (block > k)
-    if bad.any():
-        i, j, l = np.argwhere(bad)[0]
+    # The entries with a repeated index: pair[a, b] = T_aab = 3k - t_aa - t_ab.
+    pair = 3 * k - t_pair.diagonal()[:, None] - t_pair
+    block = np.zeros((n, n, n), dtype=np.int16)
+    a, b = np.arange(n)[:, None], np.arange(n)[None, :]
+    block[a, a, b] = block[a, b, a] = block[b, a, a] = pair
+    bad = bool(((pair < 0) | (pair > k)).any())
+    # T_abc <= min(T_aab, T_abb, T_aac, ...): a distinct triple is 0 unless
+    # its three pairs meet, so only those are counted.
+    meet = (pair != 0) & (pair.T != 0)
+    for i, j, l, union in _open_triples(meet, bits):
+        val = _pie(size_of[_zero_count(union, m, weights)],
+                   t_pair[i, j], t_pair[i, l], t_pair[j, l], k)
+        block[i, j, l] = block[i, l, j] = block[j, i, l] = val
+        block[j, l, i] = block[l, i, j] = block[l, j, i] = val
+        bad = bad or bool(((val < 0) | (val > k)).any())
+    if bad:
+        i, j, l = np.argwhere((block < 0) | (block > k))[0]
         raise InconsistencyError((idx[i], idx[j], idx[l]), int(block[i, j, l]))
     return IntersectionTensor(m, block=block, indices=idx, entry_fn=entry_fn)
 

@@ -36,6 +36,21 @@ def test_attack_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_attack_on_more_anchors_than_memory_holds_exits_2(tmp_path, capsys, monkeypatch):
+    # --anchors m asks for an m^3 int16 block; one beyond physical memory
+    # (here 1 MiB) is an input error, raised before the block is allocated.
+    import os
+    w, g = tmp_path / "w.json", tmp_path / "g.json"
+    assert main(["gen", "--m", "300", "--r", "8", "--k", "2", "--out", str(w)]) == 0
+    assert main(["gram", "--in", str(w), "--out", str(g)]) == 0
+    sysconf = os.sysconf
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    capsys.readouterr()
+    assert main(["attack", "--gram", str(g), "--r", "8", "--k", "2", "--anchors", "300"]) == 2
+    assert capsys.readouterr().err.startswith("error: n0=300 anchors need an n0^3 int16 tensor block")
+
+
 def test_parameter_error_exit_code(tmp_path):
     assert main(["gen", "--k", "9", "--r", "4", "--m", "3",
                  "--out", str(tmp_path / "w.json")]) == 2

@@ -316,6 +316,18 @@ def test_tensor_recover_end_to_end_small():
     assert unmatched is None
 
 
+@pytest.mark.parametrize("m, r, k, n0, seed", [
+    (3000, 16, 3, 32, 8), (3000, 16, 3, 32, 10), (3000, 16, 3, 32, 13), (12000, 40, 5, 80, 0)])
+def test_pair_bound_recovers_below_the_sample_size(m, r, k, n0, seed):
+    # Counting every distinct anchor triple failed on each of these: a
+    # misread count at a triple whose pairs do not all meet gave a rounding,
+    # degeneracy or inconsistency failure.  The pair bound sets it to 0.
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    res = tensor_recover(gram(W), r, k, RecoverConfig(anchors=n0, seed=seed))
+    assert res.success and res.residual == 0
+    assert match_columns(res.W_hat, W)[1] is None
+
+
 def test_tensor_recover_failure_flag_on_garbage():
     # all-ones Gram matrix is inconsistent with any k-sparse factorization
     m = 64

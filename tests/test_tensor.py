@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -117,9 +118,23 @@ def _bootstrap(M, r, k, anchors):
     return triples - pairs[:, :, None] - pairs[:, None, :] - pairs[None, :, :] + 3 * k
 
 
+def _forced_zero(block):
+    """Flags of the distinct-index entries that have a zero pair entry, which
+    the pair bound T_abc <= min(T_aab, T_abb, T_aac, ...) forces to 0."""
+    n = len(block)
+    pair = block[np.arange(n), np.arange(n)]  # pair[a, b] = T_aab
+    meet = (pair != 0) & (pair.T != 0)
+    distinct = np.ones((n, n), bool)
+    np.fill_diagonal(distinct, False)
+    return (distinct[:, :, None] & distinct[:, None, :] & distinct[None, :, :]
+            & ~(meet[:, :, None] & meet[:, None, :] & meet[None, :, :]))
+
+
 def _reference_block(M, r, k, anchors):
-    """The dense bootstrap: the block, or (triple, value) of its first bad entry."""
+    """The dense bootstrap with the entries the pair bound forces to 0
+    zeroed: the block, or (triple, value) of its first bad entry."""
     block = _bootstrap(M, r, k, anchors)
+    block[_forced_zero(block)] = 0
     bad = np.argwhere((block < 0) | (block > k))
     if len(bad):
         i, j, l = bad[0]
@@ -161,6 +176,25 @@ def test_anchored_block_on_balanced_population_matches_oracle(m, r):
         sub = SelectionMatrix(m=len(anchors), r=r, k=1, rows=rows[anchors])
         assert np.array_equal(T.block, oracle_tensor(sub, materialize=True).block)
         assert np.array_equal(T.block, _reference_block(M, r, 1, anchors))
+
+
+def test_anchored_block_beyond_physical_memory_is_a_parameter_error(monkeypatch):
+    # On a machine of 2 * 64^3 bytes a 64-anchor int16 block fits and a
+    # 65-anchor one does not; the check comes before the anchor rows are read.
+    import ssbmf.tensor
+    sysconf = os.sysconf
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 * 64 ** 3 // 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    M = gram(gen_selection_matrix(300, 8, 2, seed=1))
+    assert build_tensor(M, 8, 2, anchors=range(64)).block.shape == (64, 64, 64)
+
+    def unread(*args):
+        raise AssertionError("anchor rows read")
+
+    monkeypatch.setattr(ssbmf.tensor, "_distinct_columns", unread)
+    with pytest.raises(ParameterError, match=r"^n0=65 anchors need an n0\^3 int16 tensor "
+                       r"block of 0\.000512 GiB, more than the 0\.000488 GiB of physical memory$"):
+        build_tensor(M, 8, 2, anchors=range(65))
 
 
 def test_anchored_entry_outside_block_falls_back():
@@ -313,14 +347,48 @@ def test_entry_rejects_an_index_that_is_not_an_integer(mode, index):
 
 
 @pytest.mark.parametrize("anchors, triple", [
-    (list(range(0, 1500, 23)), (0, 46, 713)),
-    (list(range(1499, 0, -23)), (1499, 1269, 809))])
+    (list(range(0, 1500, 23)), (414, 414, 506)),
+    (list(range(1499, 0, -23)), ())])
 def test_inconsistency_names_the_first_bad_triple(anchors, triple):
     # m = 1500 is below the sample size for r=16, k=3; the first bad entry in
-    # block order (positions i <= j <= l) is reported, anchors in given order.
+    # block order is reported, anchors in given order.  Each bad entry of the
+    # reversed anchors' raw bootstrap sits at a triple the pair bound forces
+    # to 0, so that block has no bad triple.
     M = gram(gen_selection_matrix(1500, 16, 3, seed=0))
+    want = _reference_block(M, 16, 3, anchors)
+    if not triple:
+        assert np.array_equal(build_tensor(M, 16, 3, anchors=anchors).block, want)
+        raw = _bootstrap(M, 16, 3, anchors)
+        bad = (raw < 0) | (raw > 3)
+        assert bad.any() and not (bad & ~_forced_zero(raw)).any()
+        return
+    assert want == (triple, -1)
     with pytest.raises(InconsistencyError) as exc:
         build_tensor(M, 16, 3, anchors=anchors)
+    assert (exc.value.triple, exc.value.value) == want
+
+
+@pytest.mark.parametrize("m, r, k, seed, anchors, triple", [
+    (1500, 16, 3, 1, list(range(0, 640, 20)), (280, 280, 300)),
+    (65, 8, 2, 1, list(range(65)), (0, 63, 63)),
+    (2000, 16, 4, 2, list(range(40)), (0, 19, 24))])
+def test_bad_pair_entry_and_bad_open_triple_raise(m, r, k, seed, anchors, triple):
+    # A pair entry is always checked, and so is a distinct triple whose pairs
+    # all meet: the last block has no bad pair entry.  In the second, pair
+    # (0, 63) is T_{0,0,63} = 0 but T_{0,63,63} = -1; one zero forces the
+    # earlier bad triple (0, 1, 63) to 0.
+    M = gram(gen_selection_matrix(m, r, k, seed=seed))
+    raw = _bootstrap(M, r, k, anchors)
+    n = len(anchors)
+    pair = raw[np.arange(n), np.arange(n)]
+    pair_bad = ((pair < 0) | (pair > k)).any()
+    assert pair_bad == (len(set(triple)) < 3)
+    if not pair_bad:
+        i, j, l = (anchors.index(a) for a in triple)
+        assert 0 not in (pair[i, j], pair[j, i], pair[i, l], pair[l, i], pair[j, l], pair[l, j])
+    assert _reference_block(M, r, k, anchors) == (triple, -1)
+    with pytest.raises(InconsistencyError) as exc:
+        build_tensor(M, r, k, anchors=anchors)
     assert (exc.value.triple, exc.value.value) == (triple, -1)
 
 
