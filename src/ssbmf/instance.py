@@ -76,14 +76,26 @@ def _holds_bool(rows) -> bool:
         isinstance(x, (bool, np.bool_)) for row in rows for x in row)
 
 
-def _check_entry(m: int, idx: tuple) -> None:
-    """IndexError unless each index of an entry is an integer in [0, m), where
-    numpy would read a bool or a float as some row and wrap a negative."""
+def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
+    """IndexError naming ``what`` and idx unless each index of idx is an
+    integer in [0, m), where numpy would read a bool or a float as some row
+    and wrap a negative."""
     for i in idx:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise IndexError(f"entry ({','.join(map(str, idx))}): {i!r} is not an integer index")
+            raise IndexError(f"{what} ({','.join(map(str, idx))}): {i!r} is not an integer index")
         if not 0 <= i < m:
-            raise IndexError(f"entry ({','.join(map(str, idx))}) out of range for m={m}")
+            raise IndexError(f"{what} ({','.join(map(str, idx))}) out of range for m={m}")
+
+
+def _check_anchors(m: int, anchors) -> tuple:
+    """The anchors as a tuple: IndexError naming the first one that is not
+    an integer in [0, m), as for an entry, and ParameterError if none."""
+    anchors = tuple(anchors)
+    if not anchors:
+        raise ParameterError("the anchor set is empty")
+    for a in anchors:
+        _check_entry(m, (a,), "anchor")
+    return anchors
 
 
 def split_seed(seed: int, index: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegeneracyError, ExtensionError, ParameterError,
                      RankDeficiencyError, RoundingError, SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, _rng, _unpack,
+from .instance import (GramMatrix, SelectionMatrix, _check_anchors, _rng, _unpack,
                        factorization_error)
 from .mu import mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
@@ -138,15 +138,17 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     Each other row (``diagnostics["fallback_rows"]`` counts them) is the
     rounded least-squares solution of (anchor block) x = c for
     c_ab = 2k - |S_a cup S_b| (mu-inverted from M), re-checked exactly; a
-    failing row raises ExtensionError naming the lowest such row.
+    failing row raises ExtensionError naming the lowest such row.  An anchor
+    index that is not an integer in [0, m) raises IndexError, and an empty
+    anchor set ParameterError, before M is read.
     """
+    anchor_indices = np.asarray(_check_anchors(M.m, anchor_indices), dtype=np.intp)
     anchor_block = np.asarray(anchor_block, dtype=float)
     n0, r = anchor_block.shape
     if n0 < r:
         raise ParameterError(f"need at least r={r} anchors, got {n0}")
     if np.linalg.matrix_rank(anchor_block) < r:
         raise RankDeficiencyError("anchor block is column rank-deficient")
-    anchor_indices = np.asarray(anchor_indices, dtype=np.intp)
     held = anchor_block > 0.5
     sparse = held.sum(axis=1) == k
     if not sparse.all():

@@ -89,28 +89,22 @@ def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None,
     return out
 
 
-def count_thresholds(m: int, table: MuTable) -> np.ndarray:
-    """Ascending ceil(m * (mu_t + mu_{t+1}) / 2) over t, exact on the
-    table's Fractions: a count inverts to the number of thresholds strictly
-    above it."""
+def invert_counts(counts, m: int, table: MuTable) -> np.ndarray:
+    """Union sizes of zero co-occurrence counts out of m, the one place where
+    a count becomes a union size: the number of exact integer thresholds
+    ceil(m * (mu_t + mu_{t+1}) / 2), taken on the table's Fractions, strictly
+    above each count.  Equal to invert_fraction(count / m, table) entrywise,
+    ties at midpoints going to the smaller union size."""
     mu = table.values
-    return np.array([math.ceil(m * (mu[t] + mu[t + 1]) / 2)
-                     for t in reversed(range(table.t_max))], dtype=np.int64)
-
-
-def invert_counts(counts, thresholds: np.ndarray) -> np.ndarray:
-    """Vectorized inversion of zero-co-occurrence counts to union sizes through
-    ``thresholds = count_thresholds(m, table)``, which callers build once;
-    equal to invert_fraction(count / m, table) entrywise, ties at midpoints
-    going to the smaller union size."""
+    thresholds = np.array([math.ceil(m * (mu[t] + mu[t + 1]) / 2)
+                           for t in reversed(range(table.t_max))], dtype=np.int64)
     out = np.searchsorted(thresholds, counts, side="right")
-    return np.subtract(len(thresholds), out, out=out)
+    return np.subtract(table.t_max, out, out=out)
 
 
 def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarray:
     """Union sizes for the row block rows_a x rows_b (default: all rows)."""
-    return invert_counts(zero_counts(M.bits, M.m, rows_a, rows_b),
-                         count_thresholds(M.m, table))
+    return invert_counts(zero_counts(M.bits, M.m, rows_a, rows_b), M.m, table)
 
 
 def required_sample_size(r: int, k: int, t: int, delta: float) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -193,20 +194,15 @@ def krawtchouk_bound_check(r: int, k: int) -> dict:
     for lam in range(0, r // 2 + 1):
         if abs(krawtchouk(r, k, lam)) > bound:
             return {"r": r, "k": k, "ok": False, "first_violation": lam}
-        bound_next = bound * base
-        bound = bound_next
+        bound *= base
     return {"r": r, "k": k, "ok": True, "first_violation": None}
 
 
 def fibre_stats(x) -> tuple:
-    """(largest multiplicity of any value, number of nonzero entries)."""
-    x = list(x)
-    if not x:
-        return 0, 0
-    counts = {}
-    for v in x:
-        counts[v] = counts.get(v, 0) + 1
-    return max(counts.values()), sum(1 for v in x if v != 0)
+    """(largest multiplicity of any value, number of nonzero entries) of the
+    sequence x."""
+    counts = Counter(x)
+    return max(counts.values(), default=0), len(x) - counts[0]
 
 
 def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000,

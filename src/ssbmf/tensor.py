@@ -5,8 +5,9 @@ from mu-inverted union sizes:
 
     T_abc = t_abc - t_ab - t_ac - t_bc + 3k.
 
-Every path reads the union sizes from one table per tensor, the inversion of
-each zero count 0..m.
+Every path reads the union sizes from one table per tensor,
+``mu.invert_counts`` of each zero count 0..m.  An anchored tensor is just
+its block; a lazy one counts each entry on demand.
 
 An anchored block reads only the anchor rows of M, merged over their
 distinct columns into weighted packed words whose zero counts
@@ -26,17 +27,17 @@ import os
 import numpy as np
 
 from .errors import InconsistencyError, ParameterError
-from .instance import (_WORD, GramMatrix, SelectionMatrix, _check_entry, _pack, _row_chunks,
-                       _unpack)
-from .mu import _zero_count, count_thresholds, invert_counts, mu_table, zero_counts
+from .instance import (_WORD, GramMatrix, SelectionMatrix, _check_anchors, _check_entry, _pack,
+                       _row_chunks, _unpack)
+from .mu import _zero_count, invert_counts, mu_table, zero_counts
 
 
 class IntersectionTensor:
     """Symmetric tensor with entries in {0..k}.
 
-    Either materialized (``block`` over the rows ``indices``, with other
-    entries computed on demand) or a lazy handle that computes every entry
-    on demand from the Gram matrix.
+    Either materialized, ``block`` over the rows ``indices`` and nothing
+    else, or a lazy handle whose ``entry_fn`` computes every entry on demand
+    from the Gram matrix.
     """
 
     def __init__(self, m, block=None, indices=None, entry_fn=None):
@@ -48,11 +49,11 @@ class IntersectionTensor:
 
     def entry(self, a: int, b: int, c: int) -> int:
         _check_entry(self.m, (a, b, c))
+        if self._entry_fn is not None:
+            return self._entry_fn(a, b, c)
         if a in self._pos and b in self._pos and c in self._pos:
             return int(self.block[self._pos[a], self._pos[b], self._pos[c]])
-        if self._entry_fn is None:
-            raise ParameterError(f"entry ({a},{b},{c}) outside the materialized block")
-        return self._entry_fn(a, b, c)
+        raise ParameterError(f"entry ({a},{b},{c}) outside the materialized block")
 
 
 def contract(T: IntersectionTensor, v) -> np.ndarray:
@@ -87,14 +88,18 @@ def _distinct_columns(M: GramMatrix, rows):
     return np.concatenate(planes, axis=1), np.concatenate(weights)
 
 
+def _block_error(n: int, limit: str) -> ParameterError:
+    """The error for an n^3 int16 block beyond ``limit``, naming n0 and its size."""
+    need = n ** 3 * np.dtype(np.int16).itemsize
+    return ParameterError(
+        f"n0={n} anchors need an n0^3 int16 tensor block of {need / 2 ** 30:.3g} GiB, {limit}")
+
+
 def _check_block_fits(n: int) -> None:
     """ParameterError unless an n^3 int16 block fits in physical memory."""
-    need = n ** 3 * np.dtype(np.int16).itemsize
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ParameterError(
-            f"n0={n} anchors need an n0^3 int16 tensor block of {need / 2 ** 30:.3g} GiB, "
-            f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
+    if n ** 3 * np.dtype(np.int16).itemsize > have:
+        raise _block_error(n, f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _open_triples(meet: np.ndarray, bits: np.ndarray):
@@ -118,44 +123,50 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
                  anchors=None) -> IntersectionTensor:
     """Bootstrap the intersection tensor from the Boolean Gram matrix.
 
-    mode="anchored" materializes the subtensor on the given anchor rows
-    (anchors=range(m) gives the whole tensor, memory m^3; a block beyond
-    physical memory raises ParameterError) and sets a distinct triple with a
-    zero pair entry to 0 by the pair bound; mode="lazy" only supports
-    per-entry access, each entry counting zeros in the ORs of its three
-    packed rows.  Entries outside {0..k} raise InconsistencyError.
+    mode="anchored" materializes the subtensor on the given anchor rows, and
+    the tensor is just that block (anchors=range(m) gives the whole tensor,
+    memory m^3).  Before M is read, an anchor that is not an integer in
+    [0, m) raises IndexError, and no anchors or a block beyond physical
+    memory ParameterError, as does a block the process cannot allocate.  A
+    distinct triple with a zero pair entry is 0 by the pair bound.
+    mode="lazy" only supports per-entry access, each entry counting zeros in
+    the ORs of its three packed rows.  Entries outside {0..k} raise
+    InconsistencyError.
     """
     m = M.m
     # Union size of every zero count 0..m: the one mu-inversion per tensor.
-    size_of = invert_counts(np.arange(m + 1), count_thresholds(m, mu_table(r, k)))
-    sizes = size_of.tolist()  # a list reads one entry faster than the array
-
-    def entry_fn(a, b, c):
-        A, B, C = M.bits[a], M.bits[b], M.bits[c]
-        unions = np.empty((4, M.bits.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
-        np.bitwise_or(np.bitwise_or(A, B, out=unions[1]), C, out=unions[0])
-        np.bitwise_or(A, C, out=unions[2])
-        np.bitwise_or(B, C, out=unions[3])
-        val = _pie(*[sizes[m - n] for n in np.bitwise_count(unions).sum(axis=1).tolist()], k)
-        if not 0 <= val <= k:
-            raise InconsistencyError((a, b, c), val)
-        return val
-
+    size_of = invert_counts(np.arange(m + 1), m, mu_table(r, k))
     if mode == "lazy":
+        sizes = size_of.tolist()  # a list reads one entry faster than the array
+
+        def entry_fn(a, b, c):
+            A, B, C = M.bits[a], M.bits[b], M.bits[c]
+            unions = np.empty((4, M.bits.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
+            np.bitwise_or(np.bitwise_or(A, B, out=unions[1]), C, out=unions[0])
+            np.bitwise_or(A, C, out=unions[2])
+            np.bitwise_or(B, C, out=unions[3])
+            val = _pie(*[sizes[m - n] for n in np.bitwise_count(unions).sum(axis=1).tolist()], k)
+            if not 0 <= val <= k:
+                raise InconsistencyError((a, b, c), val)
+            return val
+
         return IntersectionTensor(m, entry_fn=entry_fn)
     if mode != "anchored":
         raise ParameterError(f"unknown mode {mode!r}")
     if anchors is None:
         raise ParameterError("anchored mode requires an anchor set")
-    idx = list(anchors)
+    idx = _check_anchors(m, anchors)
     n = len(idx)
     _check_block_fits(n)
-    bits, weights = _distinct_columns(M, idx)
+    bits, weights = _distinct_columns(M, np.array(idx))
     weights = weights.astype(np.float32)
     t_pair = size_of[zero_counts(bits, m, range(n), weights=weights)]
     # The entries with a repeated index: pair[a, b] = T_aab = 3k - t_aa - t_ab.
     pair = 3 * k - t_pair.diagonal()[:, None] - t_pair
-    block = np.zeros((n, n, n), dtype=np.int16)
+    try:
+        block = np.zeros((n, n, n), dtype=np.int16)
+    except MemoryError:  # an address-space limit below physical memory
+        raise _block_error(n, "more than this process can allocate") from None
     a, b = np.arange(n)[:, None], np.arange(n)[None, :]
     block[a, a, b] = block[a, b, a] = block[b, a, a] = pair
     bad = bool(((pair < 0) | (pair > k)).any())
@@ -171,18 +182,19 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     if bad:
         i, j, l = np.argwhere((block < 0) | (block > k))[0]
         raise InconsistencyError((idx[i], idx[j], idx[l]), int(block[i, j, l]))
-    return IntersectionTensor(m, block=block, indices=idx, entry_fn=entry_fn)
+    return IntersectionTensor(m, block=block, indices=idx)
 
 
 def oracle_tensor(W: SelectionMatrix, materialize: bool = False) -> IntersectionTensor:
-    """Exact tensor |S_a cap S_b cap S_c| computed directly from the supports."""
+    """Exact tensor |S_a cap S_b cap S_c| computed directly from the supports:
+    its whole block when materialized, else one entry at a time."""
+    if materialize:
+        dense = W.dense().astype(np.int32)
+        block = np.einsum("ai,bi,ci->abc", dense, dense, dense).astype(np.int16)
+        return IntersectionTensor(W.m, block=block, indices=range(W.m))
     masks = [sum(1 << j for j in row) for row in W.rows]
 
     def entry_fn(a, b, c):
         return (masks[a] & masks[b] & masks[c]).bit_count()
 
-    if materialize:
-        dense = W.dense().astype(np.int32)
-        block = np.einsum("ai,bi,ci->abc", dense, dense, dense).astype(np.int16)
-        return IntersectionTensor(W.m, block=block, indices=range(W.m), entry_fn=entry_fn)
     return IntersectionTensor(W.m, entry_fn=entry_fn)

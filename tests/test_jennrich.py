@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +285,21 @@ def test_extend_needs_enough_anchors():
     M = gram(gen_selection_matrix(20, 6, 2, seed=1))
     with pytest.raises(ParameterError):
         extend_from_anchors(np.ones((3, 6)), [0, 1, 2], M, 2)
+
+
+@pytest.mark.parametrize("anchors, error, message", [
+    ([-300] + list(range(1, 24)), IndexError, r"anchor \(-300\) out of range for m=300"),
+    (list(range(23)) + [300], IndexError, r"anchor \(300\) out of range for m=300"),
+    ([0.5] + list(range(1, 24)), IndexError, r"anchor \(0\.5\): 0\.5 is not an integer index"),
+    ([False] + list(range(1, 24)), IndexError,
+     r"anchor \(False\): False is not an integer index"),
+    ([], ParameterError, r"the anchor set is empty")])
+def test_extend_rejects_bad_anchors_before_reading_m(anchors, error, message):
+    # -300, 0.5 and False would each be read as row 0.  M has no rows here,
+    # so a check that came after reading them would fail otherwise.
+    block = gen_selection_matrix(24, 8, 2, seed=1).dense()
+    with pytest.raises(error, match=rf"^{message}$"):
+        extend_from_anchors(block, anchors, SimpleNamespace(m=300), 2)
 
 
 def test_match_columns_permutation():

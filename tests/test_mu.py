@@ -8,8 +8,7 @@ import pytest
 from ssbmf import (ParameterError, gen_selection_matrix, gram, mu_table,
                    required_sample_size)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import (count_thresholds, invert_counts, invert_fraction, union_block,
-                      zero_counts)
+from ssbmf.mu import invert_counts, invert_fraction, union_block, zero_counts
 
 
 def all_subsets_matrix(r, k):
@@ -86,7 +85,7 @@ def test_invert_counts_matches_scalar():
         mids = [m * (table.values[t] + table.values[t + 1]) / 2 for t in range(table.t_max)]
         near = [c for mid in mids for c in range(math.floor(mid) - 1, math.ceil(mid) + 2)]
         counts = np.union1d(np.arange(0, m + 1, 7), np.clip(near, 0, m))
-        vec = invert_counts(counts, count_thresholds(m, table))
+        vec = invert_counts(counts, m, table)
         for c, t in zip(counts, vec):
             assert t == invert_fraction(Fraction(int(c), m), table)
 

@@ -1,6 +1,7 @@
 import os
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from ssbmf import (InconsistencyError, ParameterError, build_tensor,
                    gen_selection_matrix, gram, mu_table, oracle_tensor)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import count_thresholds, invert_counts, invert_fraction
+from ssbmf.mu import invert_counts, invert_fraction
 from ssbmf.tensor import contract
 
 
@@ -110,11 +111,11 @@ def test_anchored_block_matches_oracle_with_repeated_classes(order):
 def _bootstrap(M, r, k, anchors):
     """The raw anchored block, out-of-range entries included, with zero
     counts taken straight from M's dense anchor rows."""
-    thresholds = count_thresholds(M.m, mu_table(r, k))
+    table = mu_table(r, k)
     zero = 1.0 - M.dense()[anchors]
-    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), thresholds)
+    pairs = invert_counts(np.rint(zero @ zero.T).astype(np.int64), M.m, table)
     triples = invert_counts(np.rint(np.einsum("aj,bj,cj->abc", zero, zero, zero,
-                                              optimize=True)).astype(np.int64), thresholds)
+                                              optimize=True)).astype(np.int64), M.m, table)
     return triples - pairs[:, :, None] - pairs[:, None, :] - pairs[None, :, :] + 3 * k
 
 
@@ -197,12 +198,48 @@ def test_anchored_block_beyond_physical_memory_is_a_parameter_error(monkeypatch)
         build_tensor(M, 8, 2, anchors=range(65))
 
 
-def test_anchored_entry_outside_block_falls_back():
+def test_anchored_block_the_process_cannot_allocate_is_a_parameter_error(monkeypatch):
+    # An address-space limit (ulimit -v) can refuse a block that fits in
+    # physical memory.  Only the 3-D block's allocation fails here: packing
+    # the anchor rows allocates 2-D zeros.
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 3:
+            raise MemoryError(f"cannot allocate an array of shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    M = gram(gen_selection_matrix(300, 8, 2, seed=1))
+    monkeypatch.setattr(np, "zeros", refusing)
+    with pytest.raises(ParameterError, match=r"^n0=64 anchors need an n0\^3 int16 tensor block "
+                       r"of 0\.000488 GiB, more than this process can allocate$"):
+        build_tensor(M, 8, 2, anchors=range(64))
+
+
+@pytest.mark.parametrize("anchors, error, message", [
+    ([-1, 0, 1, 2], IndexError, r"anchor \(-1\) out of range for m=300"),
+    ([0, 1, 300], IndexError, r"anchor \(300\) out of range for m=300"),
+    ([True, 2, 3], IndexError, r"anchor \(True\): True is not an integer index"),
+    ([0, np.False_, 3], IndexError, r"anchor \(False\): np\.False_ is not an integer index"),
+    ([0, 1.5, 2], IndexError, r"anchor \(1\.5\): 1\.5 is not an integer index"),
+    ([], ParameterError, r"the anchor set is empty")])
+def test_anchored_build_rejects_bad_anchors_before_reading_m(anchors, error, message):
+    # -1 would build over row m - 1 and True over row 1.  M has no rows
+    # here, so a check that came after reading them would fail otherwise.
+    M = SimpleNamespace(m=300)
+    with pytest.raises(error, match=rf"^{message}$"):
+        build_tensor(M, 8, 2, anchors=anchors)
+
+
+def test_anchored_entry_outside_block_raises():
+    # An anchored tensor is its block: no entry is counted outside it.
     W = gen_selection_matrix(4000, 10, 2, seed=8)
     M = gram(W)
     T = build_tensor(M, 10, 2, anchors=[0, 1, 2, 3])
     O = oracle_tensor(W)
-    assert T.entry(0, 1, 100) == O.entry(0, 1, 100)
+    assert T.entry(0, 3, 1) == O.entry(0, 3, 1)
+    with pytest.raises(ParameterError, match=r"^entry \(0,1,100\) outside the materialized block$"):
+        T.entry(0, 1, 100)
 
 
 @pytest.mark.parametrize("a", [-1, 300])
@@ -239,28 +276,26 @@ def test_lazy_entry_raises_inconsistency():
 
 @pytest.mark.parametrize("mode", ["lazy", "anchored"])
 def test_tensor_builds_its_thresholds_once(mode, monkeypatch):
-    # One threshold array and one count -> size table per tensor, not one
-    # inversion per entry or per slice.
+    # One inversion, of the counts 0..m, per tensor: not one per entry or
+    # per slice.  An anchored tensor reads its entries from its block only.
     import ssbmf.tensor
-    calls, inversions = [], []
+    inversions = []
 
-    def counting(m, table):
-        calls.append((m, table.r, table.k))
-        return count_thresholds(m, table)
+    def inverting(counts, m, table):
+        inversions.append((len(counts), m, table.r, table.k))
+        return invert_counts(counts, m, table)
 
-    def inverting(counts, thresholds):
-        inversions.append(len(counts))
-        return invert_counts(counts, thresholds)
-
-    monkeypatch.setattr(ssbmf.tensor, "count_thresholds", counting)
     monkeypatch.setattr(ssbmf.tensor, "invert_counts", inverting)
     W = gen_selection_matrix(600, 8, 2, seed=4)
     T = build_tensor(gram(W), 8, 2, mode=mode, anchors=None if mode == "lazy" else range(24))
     oracle = oracle_tensor(W)
-    triples = np.random.default_rng(0).integers(0, 600, size=(100, 3)).tolist()
+    rows = 600 if mode == "lazy" else 24
+    triples = np.random.default_rng(0).integers(0, rows, size=(100, 3)).tolist()
     assert [T.entry(*t) for t in triples] == [oracle.entry(*t) for t in triples]
-    assert calls == [(600, 8, 2)]
-    assert inversions == [601]
+    if mode == "anchored":
+        with pytest.raises(ParameterError, match="outside the materialized block"):
+            T.entry(0, 1, 24)
+    assert inversions == [(601, 600, 8, 2)]
 
 
 @pytest.mark.parametrize("m, r, k", [(8, 4, 1), (10, 5, 1), (600, 8, 2), (1000, 16, 3),
@@ -271,8 +306,8 @@ def test_size_table_equals_the_exact_inversion_of_every_count(m, r, k, monkeypat
     import ssbmf.tensor
     tables = []
 
-    def keeping(counts, thresholds):
-        tables.append(invert_counts(counts, thresholds))
+    def keeping(counts, m, table):
+        tables.append(invert_counts(counts, m, table))
         return tables[-1]
 
     monkeypatch.setattr(ssbmf.tensor, "invert_counts", keeping)
