@@ -22,7 +22,7 @@ from . import probes
 from .errors import SsbmfError, ParameterError
 from .instance import (GramMatrix, SelectionMatrix, _rng, factorization_error,
                        gen_selection_matrix, gram, load_json, save_csv, save_json)
-from .jennrich import REPORTED_DIAGNOSTICS, RecoverConfig, _stage, tensor_recover
+from .jennrich import RecoverConfig, _stage, tensor_recover
 from .mu import required_sample_size
 from .recover import SyntheticDataset, recover_dataset
 
@@ -33,7 +33,15 @@ EXIT_FAILURE = 3
 
 def _emit(obj: dict, out: str, fmt: str) -> None:
     """obj as json, csv or pretty lines, in the file out or on stdout (out
-    None or "-"); JSON is one line on stdout and indented in a file."""
+    None or "-"); JSON is one line on stdout and indented in a file.  A
+    nested dict's entries become top-level keys joined by "_"."""
+    flat = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}_{inner}", v) for inner, v in value.items())
+        else:
+            flat[key] = value
+    obj = flat
     stdout = out is None or out == "-"
     if fmt == "csv":
         save_csv(sorted(obj.items()), sys.stdout if stdout else out)
@@ -116,17 +124,12 @@ def _cmd_probe(args) -> int:
         W = SelectionMatrix.from_json(load_json(args.infile))
         report = probes.rank_report(W, primes=args.primes)
         obj = {"rank_f2": report.rank_f2, "rank_real": report.rank_real,
-               **{f"rank_mod_{q}": v for q, v in report.rank_modq.items()}}
+               "rank_mod": report.rank_modq}
     elif args.what == "krawtchouk":
         obj = probes.krawtchouk_bound_check(args.r, args.k)
     elif args.what == "singularity":
         obj = probes.singularity_experiment(args.m, args.r, args.k,
                                             args.trials, args.seed)
-        obj = {"m": obj["m"], "r": obj["r"], "k": obj["k"],
-               "f2_frequency": obj["f2"]["frequency"],
-               "real_frequency": obj["real"]["frequency"],
-               "real_ci_low": obj["real"]["ci_low"],
-               "real_ci_high": obj["real"]["ci_high"]}
     else:  # anticoncentration
         x = _rng(args.seed, 0xc0ef).integers(-5, 6, size=args.r)
         obj = probes.anticoncentration_estimate(
@@ -145,12 +148,10 @@ def _cmd_bench(args) -> int:
     with _stage(timings, "verify_seconds"):
         factorization_error(M, W)
     result = tensor_recover(M, args.r, args.k, RecoverConfig(seed=args.seed))
-    timings["recover_success"] = result.success
-    for key in REPORTED_DIAGNOSTICS:
-        if key in result.diagnostics:
-            timings[f"recover_{key}"] = result.diagnostics[key]
-    for stage, seconds in result.diagnostics["stages"].items():
+    report = result.report()
+    for stage, seconds in report.pop("stages").items():
         timings[f"recover_{stage}_seconds"] = seconds
+    timings.update((f"recover_{key}", value) for key, value in report.items())
     # Four significant digits, so that a small eigen-gap does not print as 0.0.
     print(json.dumps({k: (float(f"{v:.4g}") if isinstance(v, float) else v)
                       for k, v in timings.items()}, sort_keys=True))
@@ -162,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ssbmf",
         description="Sparse symmetric Boolean matrix factorization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags shared through parents=: the report format, the (r, k) shape, sampling
-    # and the recovery inputs.
-    report, shape, sampled, recovery = (argparse.ArgumentParser(add_help=False)
+    # Flags shared through parents=: the report format, the probes' (r, k) shape,
+    # sampling, the required (r, k) shape with its seed, and the recovery inputs.
+    report, shape, sampled, required = (argparse.ArgumentParser(add_help=False)
                                         for _ in range(4))
     report.add_argument("--report", choices=["json", "csv", "pretty"], default="json")
     report.add_argument("--out", default=None)
@@ -172,20 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--k", type=int, default=3)
     sampled.add_argument("--trials", type=int, default=200)
     sampled.add_argument("--seed", type=int, default=0)
+    required.add_argument("--r", type=int, required=True)
+    required.add_argument("--k", type=int, required=True)
+    required.add_argument("--seed", type=int, default=0)
+    recovery = argparse.ArgumentParser(add_help=False, parents=[required])
     recovery.add_argument("--gram", required=True)
-    recovery.add_argument("--r", type=int, required=True)
-    recovery.add_argument("--k", type=int, required=True)
     recovery.add_argument("--anchors", type=int, default=None,
                           help="anchor rows; m uses all rows, which builds an m^3 int16 "
                                "block (about 50 GiB at m=3000)")
-    recovery.add_argument("--seed", type=int, default=0)
     recovery.add_argument("--out", default=None)
 
-    p = sub.add_parser("gen", help="generate a random selection matrix")
+    p = sub.add_parser("gen", help="generate a random selection matrix", parents=[required])
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -206,17 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", required=True, help="CSV of the m x d matrix")
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("csp", help="reduce to Max 2-CSP and solve", parents=[report])
+    p = sub.add_parser("csp", help="reduce to Max 2-CSP and solve", parents=[report, required])
     p.add_argument("--gram", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["int", "bool"], default="bool")
     p.add_argument("--solver", choices=["exact", "local"], default="exact",
                    help="local grows about quadratically in m (44 s at m=1600)")
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_csp)
 
     p = sub.add_parser("probe", help="validation probes")

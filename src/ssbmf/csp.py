@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import GramMatrix, SelectionMatrix, _rng
+from .instance import GramMatrix, SelectionMatrix, _check_shape, _rng
 
 _EXACT_BLOCK = 1 << 18  # edge-assignment pairs scored per block by solve_exact
 
@@ -67,12 +67,6 @@ class CspInstance:
 class Assignment:
     sigma: tuple  # alphabet rank per vertex (length n_vertices)
     value: int
-
-
-def _check_shape(r: int, k: int) -> None:
-    """The reductions' shape rule, checked before they read the matrix."""
-    if not 1 <= k <= r:
-        raise ParameterError(f"need 1 <= k <= r, got r={r} k={k}")
 
 
 def reduce_symmetric(M: GramMatrix, r: int, k: int,

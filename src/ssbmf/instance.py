@@ -76,6 +76,16 @@ def _holds_bool(rows) -> bool:
         isinstance(x, (bool, np.bool_)) for row in rows for x in row)
 
 
+def _check_shape(r: int, k: int, m: int = None) -> None:
+    """The shape rule of every entry point: ParameterError unless
+    1 <= k <= r, and m >= 1 when m is given.  Plain comparisons, so a shape
+    that is not a number raises TypeError."""
+    if 1 <= k <= r and (m is None or m >= 1):
+        return
+    rule, got = ("", "") if m is None else (" and m >= 1", f"m={m} ")
+    raise ParameterError(f"need 1 <= k <= r{rule}, got {got}r={r} k={k}")
+
+
 def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
     """IndexError naming ``what`` and idx unless each index of idx is an
     integer in [0, m), where numpy would read a bool or a float as some row
@@ -127,8 +137,7 @@ class SelectionMatrix:
     support: np.ndarray
 
     def __init__(self, m: int, r: int, k: int, rows):
-        if k < 1 or r < 1 or m < 1 or k > r:
-            raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
+        _check_shape(r, k, m)
         try:
             support = np.array(rows)
         except ValueError as exc:  # ragged rows
@@ -276,8 +285,7 @@ def _floyd_subsets(rng: np.random.Generator, n: int, r: int, k: int) -> np.ndarr
 def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
     """Rows drawn i.i.d. uniformly from the C(r, k) size-k subsets, all from
     one stream per instance."""
-    if k < 1 or r < 1 or m < 1 or k > r:
-        raise ParameterError(f"need 1 <= k <= r and m >= 1, got m={m} r={r} k={k}")
+    _check_shape(r, k, m)
     return SelectionMatrix(m=m, r=r, k=k, rows=_floyd_subsets(_rng(seed, 0x5e1ec7), m, r, k))
 
 
@@ -291,6 +299,8 @@ def _gram_rows(W: SelectionMatrix):
     """
     m = W.m
     cols = _pack(W.dense().T)
+    # Chunk by k rows' words, not one row's: the k times larger chunks made
+    # the README factorization_error take 15-22 ms against 8.1-8.4 ms.
     for lo, hi in _row_chunks(m, W.k * n_words(m)):
         support = W.support[lo:hi]
         rows = cols[support[:, 0]]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (DegeneracyError, ExtensionError, ParameterError,
                      RankDeficiencyError, RoundingError, SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, _check_anchors, _rng, _unpack,
-                       factorization_error)
+from .instance import (GramMatrix, SelectionMatrix, _check_anchors, _check_shape, _rng,
+                       _unpack, factorization_error)
 from .mu import mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
@@ -140,13 +140,16 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     c_ab = 2k - |S_a cup S_b| (mu-inverted from M), re-checked exactly; a
     failing row raises ExtensionError naming the lowest such row.  An anchor
     index that is not an integer in [0, m) raises IndexError, and an empty
-    anchor set ParameterError, before M is read.
+    anchor set, or one whose size is not the block's row count,
+    ParameterError, before M is read.
     """
     anchor_indices = np.asarray(_check_anchors(M.m, anchor_indices), dtype=np.intp)
     anchor_block = np.asarray(anchor_block, dtype=float)
     n0, r = anchor_block.shape
     if n0 < r:
         raise ParameterError(f"need at least r={r} anchors, got {n0}")
+    if len(anchor_indices) != n0:
+        raise ParameterError(f"got {len(anchor_indices)} anchor indices for {n0} block rows")
     if np.linalg.matrix_rank(anchor_block) < r:
         raise RankDeficiencyError("anchor block is column rank-deficient")
     held = anchor_block > 0.5
@@ -225,8 +228,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     """
     if config is None:
         config = RecoverConfig()
-    if r < 1 or k < 1 or k > r:
-        raise ParameterError(f"invalid r={r}, k={k}")
+    _check_shape(r, k)
     m = M.m
     if config.anchors is None and m < r:
         raise ParameterError(f"m={m} rows are fewer than r={r}; recovery needs at least r rows")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .instance import GramMatrix, _row_chunks
+from .instance import GramMatrix, _check_shape, _row_chunks
 
 SAMPLE_CONST = 1.0  # leading constant of the sample-size bound
 
@@ -44,8 +44,7 @@ class MuTable:
 
 def mu_table(r: int, k: int, t_max: int = None) -> MuTable:
     """Exact table of mu_0 .. mu_{t_max}; default t_max = min(3k, r - k)."""
-    if k < 1 or k > r:
-        raise ParameterError(f"need 1 <= k <= r, got r={r} k={k}")
+    _check_shape(r, k)
     if t_max is None:
         t_max = min(3 * k, r - k)
     if t_max < 0 or t_max > r:
@@ -109,29 +108,16 @@ def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarra
 
 def required_sample_size(r: int, k: int, t: int, delta: float) -> int:
     """Smallest m with m >= SAMPLE_CONST * (t^2 r / k) * ln(m^3 / delta),
-    floored at 1.  The constant is calibrated by the acceptance experiments,
-    which run at this m."""
-    if not 1 <= k <= r:
-        raise ParameterError(f"need 1 <= k <= r, got r={r} k={k}")
+    floored at 1, by fixed-point iteration from m = 1: the bound increases in
+    m, so m rises strictly and never passes the least solution.  The constant
+    is calibrated by the acceptance experiments, which run at this m."""
+    _check_shape(r, k)
     if not 0 < delta < 1:
         raise ParameterError(f"need 0 < delta < 1, got {delta}")
     if t < 1:
         raise ParameterError(f"need t >= 1, got {t}")
     coef = SAMPLE_CONST * t * t * r / k
-
-    def satisfied(m):
-        return m >= coef * math.log(m ** 3 / delta)
-
-    hi = 1
-    while not satisfied(hi):
-        hi *= 2
-        if hi > 1 << 60:
-            raise ParameterError("sample-size bound does not converge")
-    lo = max(1, hi // 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    m = 1
+    while m < (bound := coef * math.log(m ** 3 / delta)):
+        m = math.ceil(bound)
+    return m

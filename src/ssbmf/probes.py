@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .instance import SelectionMatrix, _floyd_subsets, _rng, gen_selection_matrix, split_seed
+from .instance import (SelectionMatrix, _check_shape, _floyd_subsets, _rng, gen_selection_matrix,
+                       split_seed)
 
 # A 31-bit prime: products of two residues fit in int64, which keeps the
 # modular elimination fully vectorized.
@@ -43,8 +44,7 @@ def f2_zero_probability(r: int, k: int, lam: int) -> Fraction:
     """
     if not 0 <= lam <= r:
         raise ParameterError(f"need 0 <= lam <= r, got lam={lam} r={r}")
-    if not 1 <= k <= r:
-        raise ParameterError(f"need 1 <= k <= r, got k={k} r={r}")
+    _check_shape(r, k)
     total = sum(math.comb(lam, i) * math.comb(r - lam, k - i)
                 for i in range(0, k + 1, 2))
     return Fraction(total, math.comb(r, k))
@@ -215,8 +215,7 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
     """
     if samples < 1:
         raise ParameterError("need samples >= 1")
-    if not 1 <= k <= r:
-        raise ParameterError(f"need 1 <= k <= r, got k={k} r={r}")
+    _check_shape(r, k)
     if q != "real" and not (str(q).isdecimal() and int(q) >= 2):
         raise ParameterError(f"q must be 'real' or an integer >= 2, got {q!r}")
     x = np.asarray(x)

@@ -271,6 +271,30 @@ def test_bench_subcommand(capsys):
     assert out["recover_eigen_gap"] > 0
 
 
+def test_bench_prints_the_recovery_report_with_its_failure(capsys):
+    # Far below the sample size the bootstrap fails; bench still exits 0 and
+    # prints the whole report, so the failure says why.
+    assert main(["bench", "--m", "300", "--r", "100", "--k", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"suggested_m", "gen_seconds", "gram_seconds", "verify_seconds",
+                        "recover_success", "recover_residual", "recover_retries",
+                        "recover_seconds", "recover_failure", "recover_bootstrap_seconds"}
+    assert out["recover_success"] is False and out["recover_residual"] == -1
+    assert out["recover_failure"].startswith("tensor entry ")
+
+
+def test_singularity_prints_every_key_of_the_experiment(capsys):
+    assert main(["probe", "singularity", "--m", "8", "--r", "4", "--k", "1",
+                 "--trials", "20"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"m", "r", "k", "trials",
+                        *(f"{rank}_{key}" for rank in ("f2", "real")
+                          for key in ("frequency", "ci_low", "ci_high"))}
+    assert (out["m"], out["r"], out["k"], out["trials"]) == (8, 4, 1, 20)
+    for rank in ("f2", "real"):
+        assert out[f"{rank}_ci_low"] <= out[f"{rank}_frequency"] <= out[f"{rank}_ci_high"]
+
+
 def test_bench_with_m_below_r_names_m(capsys):
     assert main(["bench", "--m", "10", "--r", "16", "--k", "3"]) == 2
     captured = capsys.readouterr()

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbmf import (ParameterError, SelectionMatrix, factorization_error,
-                   gen_selection_matrix, gram, mu_table, split_seed)
+                   gen_selection_matrix, gram, mu_table, required_sample_size, split_seed,
+                   tensor_recover)
+from ssbmf.csp import reduce_asymmetric, reduce_symmetric
+from ssbmf.probes import anticoncentration_estimate, f2_zero_probability
 from ssbmf.cli import main
 from ssbmf.instance import GramMatrix, _row_chunks, n_words
 from ssbmf.mu import invert_fraction, union_block, zero_counts
@@ -83,6 +86,30 @@ def test_parameter_errors():
         gen_selection_matrix(3, 4, 9, seed=0)
     with pytest.raises(ParameterError):
         gen_selection_matrix(0, 4, 2, seed=0)
+
+
+SHAPE_ENTRY_POINTS = {
+    "SelectionMatrix": lambda r, k: SelectionMatrix(m=2, r=r, k=k, rows=[[0], [1]]),
+    "gen_selection_matrix": lambda r, k: gen_selection_matrix(2, r, k, seed=0),
+    "mu_table": mu_table,
+    "required_sample_size": lambda r, k: required_sample_size(r, k, 1, 0.1),
+    "reduce_symmetric": lambda r, k: reduce_symmetric(None, r, k),
+    "reduce_asymmetric": lambda r, k: reduce_asymmetric(np.zeros((2, 2)), r, k),
+    "f2_zero_probability": lambda r, k: f2_zero_probability(r, k, 0),
+    "anticoncentration_estimate": lambda r, k: anticoncentration_estimate(np.zeros(4), r, k),
+    "tensor_recover": lambda r, k: tensor_recover(None, r, k),
+}
+
+
+@pytest.mark.parametrize("r, k", [(4, 0), (0, 1), (3, 5)])
+@pytest.mark.parametrize("name", sorted(SHAPE_ENTRY_POINTS))
+def test_every_entry_point_states_the_one_shape_rule(name, r, k):
+    # One message everywhere, raised before a Gram matrix is read (M is None here).
+    given_m = "m=2 " if name in ("SelectionMatrix", "gen_selection_matrix") else ""
+    rule = " and m >= 1" if given_m else ""
+    with pytest.raises(ParameterError,
+                       match=f"^{re.escape(f'need 1 <= k <= r{rule}, got {given_m}r={r} k={k}')}$"):
+        SHAPE_ENTRY_POINTS[name](r, k)
 
 
 @pytest.mark.parametrize("m,r,k", [(1, 5, 2), (1, 3, 3), (6, 4, 4), (9, 1, 1)])

@@ -262,6 +262,38 @@ def test_decode_candidates_match_dense_brute_force(m, n0, monkeypatch):
     assert np.array_equal(W_hat.dense(), candidates)
 
 
+def test_extend_names_a_row_that_fails_the_re_check(monkeypatch):
+    # Exact unions for the fallback rows, but one count of the lowest such row
+    # off by one: its rounded row is still k-sparse, and the re-check, which
+    # compares it with the counts it was solved from, names it.
+    m, r, k, n0, seed = 300, 8, 2, 20, 2
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
+    dense = W.dense().astype(np.int64)
+    calls = []
+
+    def union_block(M_, table, rows_a, rows_b):
+        calls.append(list(rows_a))
+        counts = dense[rows_a] @ dense[list(rows_b)].T
+        counts[0, 0] += 1
+        return 2 * k - counts
+
+    monkeypatch.setattr("ssbmf.jennrich.union_block", union_block)
+    with pytest.raises(ExtensionError) as exc:
+        extend_from_anchors(dense[anchors], anchors, gram(W), k)
+    assert len(calls) == 1 and calls[0]
+    assert str(exc.value) == f"row {calls[0][0]} fails the intersection re-check"
+
+
+@pytest.mark.parametrize("n_anchors", [23, 25])
+def test_extend_rejects_an_anchor_count_other_than_the_block_rows(n_anchors):
+    # Unchecked, the mismatch reaches a boolean index of numpy as an IndexError.
+    W = gen_selection_matrix(3000, 8, 2, seed=1)
+    with pytest.raises(ParameterError,
+                       match=f"^got {n_anchors} anchor indices for 24 block rows$"):
+        extend_from_anchors(W.dense()[:24], range(n_anchors), gram(W), 2)
+
+
 def test_extend_rejects_rank_deficient_block():
     W = gen_selection_matrix(100, 6, 2, seed=1)
     M = gram(W)

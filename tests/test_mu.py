@@ -8,7 +8,7 @@ import pytest
 from ssbmf import (ParameterError, gen_selection_matrix, gram, mu_table,
                    required_sample_size)
 from ssbmf.instance import SelectionMatrix
-from ssbmf.mu import invert_counts, invert_fraction, union_block, zero_counts
+from ssbmf.mu import SAMPLE_CONST, invert_counts, invert_fraction, union_block, zero_counts
 
 
 def all_subsets_matrix(r, k):
@@ -157,6 +157,20 @@ def test_required_sample_size_examples():
     coef = 6 * 6 * 12 / 2
     assert m >= coef * math.log(m ** 3 / 0.1)
     assert m - 1 < coef * math.log((m - 1) ** 3 / 0.1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 16, 40, 100, 1000])
+def test_required_sample_size_is_the_least_m_meeting_the_bound(r):
+    def meets(m, coef, delta):
+        return m >= coef * math.log(m ** 3 / delta)
+
+    for k in range(1, min(r, 6) + 1):
+        for t in sorted({1, 2, k, 3 * k}):
+            for delta in (1e-9, 1e-3, 0.1, 0.5, 0.999):
+                coef = SAMPLE_CONST * t * t * r / k
+                m = required_sample_size(r, k, t, delta)
+                assert meets(m, coef, delta)
+                assert m == 1 or not meets(m - 1, coef, delta), (r, k, t, delta)
 
 
 def test_required_sample_size_monotone_in_t():
