@@ -76,14 +76,22 @@ def _holds_bool(rows) -> bool:
         isinstance(x, (bool, np.bool_)) for row in rows for x in row)
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer and not a bool, which numpy and range checks
+    would read as 0 or 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_shape(r: int, k: int, m: int = None) -> None:
     """The shape rule of every entry point: ParameterError unless
-    1 <= k <= r, and m >= 1 when m is given.  Plain comparisons, so a shape
-    that is not a number raises TypeError."""
-    if 1 <= k <= r and (m is None or m >= 1):
-        return
+    1 <= k <= r, and m >= 1 when m is given, and unless each is an integer.
+    The range comes first, as plain comparisons, so a shape that is not a
+    number raises TypeError."""
     rule, got = ("", "") if m is None else (" and m >= 1", f"m={m} ")
-    raise ParameterError(f"need 1 <= k <= r{rule}, got {got}r={r} k={k}")
+    if not (1 <= k <= r and (m is None or m >= 1)):
+        raise ParameterError(f"need 1 <= k <= r{rule}, got {got}r={r} k={k}")
+    if not all(x is None or _is_int(x) for x in (r, k, m)):
+        raise ParameterError(f"need integer {'m, ' if got else ''}r and k, got {got}r={r} k={k}")
 
 
 def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
@@ -91,7 +99,7 @@ def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
     integer in [0, m), where numpy would read a bool or a float as some row
     and wrap a negative."""
     for i in idx:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        if not _is_int(i):
             raise IndexError(f"{what} ({','.join(map(str, idx))}): {i!r} is not an integer index")
         if not 0 <= i < m:
             raise IndexError(f"{what} ({','.join(map(str, idx))}) out of range for m={m}")
@@ -117,7 +125,10 @@ def split_seed(seed: int, index: int) -> int:
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream keyed by split_seed(seed, index)."""
+    """Counter-based stream keyed by split_seed(seed, index); ParameterError
+    unless seed is an integer, since split_seed would key any str(seed)."""
+    if not _is_int(seed):
+        raise ParameterError(f"seed {seed!r} is not an integer")
     return np.random.Generator(np.random.Philox(key=split_seed(seed, index)))
 
 

@@ -2,11 +2,12 @@
 the full recovery pipeline: decompose, round to Boolean columns, extend from
 an anchor subset to all rows, and verify against the input Gram matrix.
 
-The decomposition works on two random contractions T(Id, Id, v).  Instead of
-the fragile m x m eigenproblem of M1 @ pinv(M2), we project both contractions
-onto an orthonormal basis U of the component span (rank-revealing SVD of M1),
-solve the r x r nonsymmetric eigenproblem there, and lift the eigenvectors
-back by U; this is algebraically equivalent on the span.
+The decomposition is Jennrich's algorithm with the second contraction fixed
+to T(I, I, 1) = A diag(d) A^T, positive semidefinite of rank r.  Its top r
+eigenpairs (s, U) whiten each random contraction T(I, I, v) into the
+symmetric r x r matrix (U/sqrt(s))^T T(I, I, v) (U/sqrt(s)); U*sqrt(s) lifts
+its eigenvectors back to the components (Anandkumar, Ge, Hsu, Kakade and
+Telgarsky, arXiv 1210.7559).
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import numpy as np
 
 from .errors import (DegeneracyError, ExtensionError, ParameterError,
                      RankDeficiencyError, RoundingError, SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, _check_anchors, _check_shape, _rng,
-                       _unpack, factorization_error)
+from .instance import (GramMatrix, SelectionMatrix, _check_anchors, _check_shape, _is_int,
+                       _rng, _unpack, factorization_error)
 from .mu import mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
-SV_CUTOFF = 1e-8  # relative singular value below which a contraction direction is noise
+SV_CUTOFF = 1e-8  # relative eigenvalue of T(I, I, 1) below which a direction is noise
 GAP_TOL = 1e-6  # relative eigen-gap below which eigenvectors are not determined
-RETRIES = 5  # random contraction pairs tried before a collision is reported
+RETRIES = 5  # random contractions tried before a collision is reported
 ROUND_TOL = 0.25  # a scaled entry this far from {0, 1} was not recovered
 REPORTED_DIAGNOSTICS = ("fallback_rows", "eigen_gap")  # carried by timed reports
 
@@ -64,51 +65,37 @@ def jennrich_decompose(T: IntersectionTensor, r: int, seed: int = 0,
     """Recover the rank-one components of T = sum_i w_i^(x3).
 
     Returns r unit-normalized vectors, each a scalar multiple of one w_i,
-    provided the components are linearly independent.  Raises
-    RankDeficiencyError if the contraction has numerical rank < r and
-    DegeneracyError if eigenvalue collisions persist across all retries.
+    provided the components are linearly independent: each attempt whitens
+    one random contraction by T(I, I, 1) = A diag(d) A^T, d_i the block rows
+    holding column i, and lifts each eigenvector to one sqrt(d_i) A_i.  Raises
+    RankDeficiencyError, before any random draw, if T(I, I, 1) has numerical
+    rank < r and DegeneracyError if eigenvalue collisions persist across all
+    retries.
     """
     if T.block is None:
         raise ParameterError("decomposition requires a materialized tensor")
     n = T.block.shape[0]
     if r > n:
         raise ParameterError(f"r={r} exceeds tensor dimension {n}")
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-    last_gap = None
+    s, U = np.linalg.eigh(contract(T, np.ones(n)))  # ascending
+    rank = int(np.sum(s > SV_CUTOFF * s[-1])) if s[-1] > 0 else 0
+    if rank < r:
+        raise RankDeficiencyError(f"contraction has numerical rank {rank} < r={r}")
+    s, U = s[-r:], U[:, -r:]
+    white, lift = U / np.sqrt(s), U * np.sqrt(s)
+    rng = _rng(seed, 0x7e45)
     for attempt in range(RETRIES):
-        v1 = rng.normal(size=n)
-        v1 /= np.linalg.norm(v1)
-        v2 = rng.normal(size=n)
-        v2 /= np.linalg.norm(v2)
-        M1 = contract(T, v1)
-        M2 = contract(T, v2)
-        U, s, _ = np.linalg.svd(M1)
-        rank = int(np.sum(s > SV_CUTOFF * s[0])) if s[0] > 0 else 0
-        if rank < r:
-            raise RankDeficiencyError(
-                f"contraction has numerical rank {rank} < r={r}")
-        U = U[:, :r]
-        A1 = U.T @ M1 @ U
-        A2 = U.T @ M2 @ U
-        u2, s2, vt2 = np.linalg.svd(A2)
-        inv2 = vt2.T @ np.diag(np.where(s2 > SV_CUTOFF * s2[0], 1.0 / s2, 0.0)) @ u2.T
-        evals, evecs = np.linalg.eig(A1 @ inv2)
+        v = rng.normal(size=n)
+        evals, evecs = np.linalg.eigh(white.T @ contract(T, v / np.linalg.norm(v)) @ white)
         scale = np.max(np.abs(evals))
-        gaps = np.abs(evals[:, None] - evals[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        last_gap = float(gaps.min())
+        last_gap = float(np.min(np.diff(evals), initial=np.inf))
         if scale == 0 or last_gap < GAP_TOL * scale:
-            continue
-        if np.max(np.abs(evals.imag)) > GAP_TOL * scale:
             continue
         if diagnostics is not None:
             diagnostics["retries"] = attempt
             diagnostics["eigen_gap"] = last_gap / scale
-        lifted = U @ evecs.real
-        norms = np.linalg.norm(lifted, axis=0)
-        if not norms.all():
-            raise RankDeficiencyError("zero eigenvector after lifting")
-        return list((lifted / norms).T)
+        lifted = lift @ evecs
+        return list((lifted / np.linalg.norm(lifted, axis=0)).T)
     raise DegeneracyError(
         f"eigenvalue gap {last_gap} below tolerance after {RETRIES} retries")
 
@@ -145,6 +132,8 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     """
     anchor_indices = np.asarray(_check_anchors(M.m, anchor_indices), dtype=np.intp)
     anchor_block = np.asarray(anchor_block, dtype=float)
+    if anchor_block.ndim != 2:
+        raise ParameterError(f"the anchor block must be 2-D, got shape {anchor_block.shape}")
     n0, r = anchor_block.shape
     if n0 < r:
         raise ParameterError(f"need at least r={r} anchors, got {n0}")
@@ -233,7 +222,7 @@ def tensor_recover(M: GramMatrix, r: int, k: int,
     if config.anchors is None and m < r:
         raise ParameterError(f"m={m} rows are fewer than r={r}; recovery needs at least r rows")
     n0 = min(m, max(4 * r, r + 16)) if config.anchors is None else config.anchors
-    if not (isinstance(n0, (int, np.integer)) and r <= n0 <= m):
+    if not (_is_int(n0) and r <= n0 <= m):
         raise ParameterError(f"anchor count {n0!r} is not an integer in [r={r}, m={m}]")
     start = time.perf_counter()
     stages = {}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbmf import (ParameterError, SelectionMatrix, factorization_error,
+from ssbmf import (ParameterError, RecoverConfig, SelectionMatrix, factorization_error,
                    gen_selection_matrix, gram, mu_table, required_sample_size, split_seed,
                    tensor_recover)
 from ssbmf.csp import reduce_asymmetric, reduce_symmetric
@@ -81,6 +81,16 @@ def test_split_seed_distinct_including_nested():
     assert split_seed(5, 1) != split_seed(5 + (1 << 64), 1)
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", True])
+def test_random_streams_reject_a_non_integer_seed(seed):
+    message = f"^{re.escape(f'seed {seed!r} is not an integer')}$"
+    with pytest.raises(ParameterError, match=message):
+        gen_selection_matrix(20, 4, 2, seed=seed)
+    M = gram(gen_selection_matrix(20, 4, 2, seed=0))
+    with pytest.raises(ParameterError, match=message):
+        tensor_recover(M, 4, 2, RecoverConfig(anchors=8, seed=seed))
+
+
 def test_parameter_errors():
     with pytest.raises(ParameterError):
         gen_selection_matrix(3, 4, 9, seed=0)
@@ -110,6 +120,24 @@ def test_every_entry_point_states_the_one_shape_rule(name, r, k):
     with pytest.raises(ParameterError,
                        match=f"^{re.escape(f'need 1 <= k <= r{rule}, got {given_m}r={r} k={k}')}$"):
         SHAPE_ENTRY_POINTS[name](r, k)
+
+
+@pytest.mark.parametrize("r, k", [(8.5, 2), (8, 2.0), (8.0, 2), (True, True), (np.float64(4), 2)])
+@pytest.mark.parametrize("name", sorted(SHAPE_ENTRY_POINTS))
+def test_every_entry_point_rejects_non_integer_shapes(name, r, k):
+    # A shape in range that is a float or a bool is named as given, not
+    # run as the integer it compares equal to or dropped into a TypeError.
+    given_m = "m=2 " if name in ("SelectionMatrix", "gen_selection_matrix") else ""
+    names = "m, r and k" if given_m else "r and k"
+    with pytest.raises(ParameterError,
+                       match=f"^{re.escape(f'need integer {names}, got {given_m}r={r} k={k}')}$"):
+        SHAPE_ENTRY_POINTS[name](r, k)
+
+
+@pytest.mark.parametrize("m", [10.0, True])
+def test_gen_rejects_a_non_integer_m(m):
+    with pytest.raises(ParameterError, match=f"^need integer m, r and k, got m={m} r=1 k=1$"):
+        gen_selection_matrix(m, 1, 1, seed=0)
 
 
 @pytest.mark.parametrize("m,r,k", [(1, 5, 2), (1, 3, 3), (6, 4, 4), (9, 1, 1)])

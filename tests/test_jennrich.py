@@ -48,11 +48,35 @@ def test_decompose_rank_deficient_raises():
         jennrich_decompose(T, 6)
 
 
+def test_decompose_checks_rank_on_the_ones_contraction_before_any_draw(monkeypatch):
+    import ssbmf.jennrich
+    from ssbmf.tensor import contract
+    rows = tuple((0, j % 4) if j % 4 else (1, 2) for j in range(1, 30))
+    T = oracle_tensor(SelectionMatrix(m=29, r=6, k=2, rows=rows), materialize=True)
+    calls, draws = [], []
+    monkeypatch.setattr(ssbmf.jennrich, "contract", lambda T, v: calls.append(v) or contract(T, v))
+    monkeypatch.setattr(ssbmf.jennrich, "_rng", lambda *args: draws.append(args))
+    with pytest.raises(RankDeficiencyError, match=r"^contraction has numerical rank \d+ < r=6$"):
+        jennrich_decompose(T, 6)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.ones(29))
+    assert draws == []
+
+
+def test_decompose_seeds_differing_by_two_to_the_64_draw_different_vectors():
+    W = gen_selection_matrix(40, 8, 2, seed=1)
+    T = oracle_tensor(W, materialize=True)
+    orders = [[tuple(round_boolean(v)) for v in jennrich_decompose(T, 8, seed=s)]
+              for s in (0, 1 << 64)]
+    assert orders[0] != orders[1]
+    assert sorted(orders[0]) == sorted(orders[1]) == sorted(map(tuple, W.dense().T))
+
+
 @pytest.mark.parametrize("equal_attempts", [1, 5])
 def test_decompose_retries_equal_contractions(equal_attempts, monkeypatch):
-    # Two equal contractions give a multiple of the identity: every eigenvalue
-    # collides, so the attempt is retried with fresh vectors, and after
-    # RETRIES such attempts the decomposition raises DegeneracyError.
+    # A random contraction equal to the whitening one, T(I, I, 1), whitens to
+    # the identity: every eigenvalue collides, so the attempt is retried with
+    # a fresh vector, and after RETRIES such attempts the decomposition
+    # raises DegeneracyError.
     import ssbmf.jennrich
     from ssbmf.errors import DegeneracyError
     from ssbmf.tensor import contract
@@ -60,8 +84,8 @@ def test_decompose_retries_equal_contractions(equal_attempts, monkeypatch):
 
     def contract_equal(T, v):
         calls.append(v)
-        if len(calls) <= 2 * equal_attempts:
-            v = np.ones(len(v)) / np.sqrt(len(v))
+        if 1 < len(calls) <= 1 + equal_attempts:
+            v = np.ones(len(v))
         return contract(T, v)
 
     monkeypatch.setattr(ssbmf.jennrich, "contract", contract_equal)
@@ -77,7 +101,7 @@ def test_decompose_retries_equal_contractions(equal_attempts, monkeypatch):
         with pytest.raises(DegeneracyError, match="after 5 retries"):
             jennrich_decompose(T, 8, diagnostics=diagnostics)
         assert "retries" not in diagnostics
-    assert len(calls) == 2 * min(equal_attempts + 1, ssbmf.jennrich.RETRIES)
+    assert len(calls) == 1 + min(equal_attempts + 1, ssbmf.jennrich.RETRIES)
 
 
 def test_round_boolean_examples():
@@ -294,6 +318,13 @@ def test_extend_rejects_an_anchor_count_other_than_the_block_rows(n_anchors):
         extend_from_anchors(W.dense()[:24], range(n_anchors), gram(W), 2)
 
 
+def test_extend_rejects_a_block_that_is_not_2d():
+    M = gram(gen_selection_matrix(20, 8, 2, seed=0))
+    for block in (np.ones(8), np.ones((8, 8, 1))):
+        with pytest.raises(ParameterError, match=r"^the anchor block must be 2-D, got shape \("):
+            extend_from_anchors(block, range(8), M, 2)
+
+
 def test_extend_rejects_rank_deficient_block():
     W = gen_selection_matrix(100, 6, 2, seed=1)
     M = gram(W)
@@ -414,6 +445,9 @@ def test_tensor_recover_rejects_non_integer_anchor_counts():
     for anchors in (30.0, np.float64(30)):
         with pytest.raises(ParameterError, match="not an integer"):
             tensor_recover(M, 6, 2, RecoverConfig(anchors=anchors))
+    # True compares equal to 1, so it is in range when r = 1.
+    with pytest.raises(ParameterError, match=r"^anchor count True is not an integer in \[r=1, m=20\]$"):
+        tensor_recover(gram(gen_selection_matrix(20, 1, 1, seed=0)), 1, 1, RecoverConfig(anchors=True))
     res = tensor_recover(M, 6, 2, RecoverConfig(anchors=np.int64(30)))
     assert res.report(include_timing=False) == tensor_recover(
         M, 6, 2, RecoverConfig(anchors=30)).report(include_timing=False)
