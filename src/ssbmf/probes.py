@@ -63,8 +63,7 @@ def rank_f2(W: SelectionMatrix) -> int:
     kept under its lowest set bit: a row meets only the pivots of the bits
     it holds, and each XOR clears its lowest bit."""
     pivots = {}
-    for support in W.support.tolist():
-        row = sum(1 << j for j in support)
+    for row in np.bitwise_or.reduce(np.left_shift(1, W.support.astype(object)), axis=1).tolist():
         while row:
             low = row & -row
             if low not in pivots:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RankDeficiencyError
-from .instance import GramMatrix, SelectionMatrix, gen_selection_matrix, gram, save_csv
+from .instance import (GramMatrix, SelectionMatrix, _row_chunks, gen_selection_matrix, gram,
+                       save_csv)
 from .jennrich import RecoverConfig, RecoveredFactors, tensor_recover
 
 
@@ -92,7 +93,8 @@ def get_heavy_coordinates(W: SelectionMatrix, z) -> np.ndarray:
     constant multiple of (k/r) times the total absolute mass, once m is large
     enough for eta: eta sizes m and is not an input.  ``z`` may also be an
     (m, d) matrix |W P|; column j of the (r, d) result is then the estimate
-    for column j of P.
+    for column j of P.  z is read once, in row chunks, with the centring
+    folded into the design matrix: no m x d temporary is made.
     """
     r, k, m = W.r, W.k, W.m
     if r < 2 * k or r < 3:
@@ -100,12 +102,14 @@ def get_heavy_coordinates(W: SelectionMatrix, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or len(z) != m:
         raise ParameterError(f"expected z with {m} rows, got shape {z.shape}")
-    if np.any(z < 0):
-        raise ParameterError("z must be nonnegative")
-    z2 = z * z
-    p_tilde = (W.dense().astype(float).T @ z2 - (k - 1) / (r - 2) * z2.sum(axis=0)) / m
-    q_hat = p_tilde * (r * (r - 1)) / (k * (r - 2 * k + 1))
-    return np.sqrt(np.clip(q_hat, 0.0, None))
+    A = W.dense().astype(float) - (k - 1) / (r - 2)
+    p = np.zeros((r,) + z.shape[1:])
+    for lo, hi in _row_chunks(m, z[0].size):
+        c = z[lo:hi]
+        if (c < 0).any():
+            raise ParameterError("z must be nonnegative")
+        p += A[lo:hi].T @ (c * c)
+    return np.sqrt(np.clip(p * (r * (r - 1) / (m * k * (r - 2 * k + 1))), 0.0, None))
 
 
 def recover_dataset(M: GramMatrix, synthetic: SyntheticDataset, r: int, k: int,

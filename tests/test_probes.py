@@ -99,11 +99,14 @@ def test_rank_f2_matches_reference_elimination():
     gen_selection_matrix(90, 70, 1, seed=5),     # m > r, k = 1: rank = distinct columns hit
     gen_selection_matrix(60, 20, 4, seed=6),     # even k: rank <= r - 1
     gen_selection_matrix(200, 66, 2, seed=7),
+    gen_selection_matrix(120, 64, 3, seed=8),    # bit 63, the sign bit of an int64
+    gen_selection_matrix(120, 65, 3, seed=9),    # bit 64, past any 64-bit word
     SelectionMatrix(m=6, r=80, k=3, rows=[(1, 5, 77)] * 3 + [(0, 2, 64)] * 3),  # duplicates
     # dependent: rows 0-2 sum to zero mod 2, and row 4 repeats row 3
     SelectionMatrix(m=5, r=80, k=4, rows=[(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5),
                                           (10, 11, 70, 79), (10, 11, 70, 79)]),
-], ids=["r80", "r130", "m-lt-r", "k1", "even-k", "r66-k2", "duplicates", "dependent"])
+], ids=["r80", "r130", "m-lt-r", "k1", "even-k", "r66-k2", "r64", "r65", "duplicates",
+        "dependent"])
 def test_rank_f2_matches_the_dense_reference_and_the_mod2_rank(W):
     assert rank_f2(W) == _rank_mod2(W)
     assert rank_report(W, primes=[2]).rank_modq[2] == rank_f2(W)

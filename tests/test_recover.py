@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ssbmf import (Dataset, ParameterError, RecoverConfig,
                    gen_selection_matrix, get_heavy_coordinates, gram,
                    recover_dataset)
 from ssbmf.errors import RankDeficiencyError
-from ssbmf.instance import split_seed
+from ssbmf.instance import _row_chunks, split_seed
 from ssbmf.recover import solve_exact
 
 
@@ -150,6 +151,50 @@ def test_heavy_estimator_planted_spike():
     est = get_heavy_coordinates(W, z)
     assert int(np.argmax(est)) == 17
     assert est[17] == pytest.approx(1.0, rel=0.25)
+
+
+def _two_pass_heavy(W, z):
+    """Reference: the estimator as a full square of z, a W^T product and a column sum."""
+    r, k, m = W.r, W.k, W.m
+    z2 = z * z
+    p_tilde = (W.dense().astype(float).T @ z2 - (k - 1) / (r - 2) * z2.sum(axis=0)) / m
+    return np.sqrt(np.clip(p_tilde * (r * (r - 1)) / (k * (r - 2 * k + 1)), 0.0, None))
+
+
+@pytest.mark.parametrize("r, shape", [(12, (3000, 300)), (8, (70000,))], ids=["matrix", "vector"])
+def test_heavy_estimator_over_several_chunks_matches_the_two_pass_formula(r, shape):
+    m, tail = shape[0], shape[1:]
+    assert len(list(_row_chunks(m, math.prod(tail)))) > 1
+    W = gen_selection_matrix(m, r, 2, seed=11)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    z = np.abs(W.dense().astype(float) @ rng.normal(size=(r,) + tail))
+    est = get_heavy_coordinates(W, z)
+    assert est.shape == (r,) + tail
+    assert np.allclose(est, _two_pass_heavy(W, z), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3000, 300), (70000,)], ids=["matrix", "vector"])
+def test_heavy_estimator_rejects_a_negative_entry_beside_a_nan_in_the_last_chunk(shape):
+    W = gen_selection_matrix(shape[0], 12, 2, seed=15)
+    z = np.ones(shape)
+    z[-2] = np.nan   # the chunk's minimum is NaN, and NaN < 0 is false
+    z[-1] = -1.0
+    with pytest.raises(ParameterError, match="nonnegative"):
+        get_heavy_coordinates(W, z)
+
+
+def test_heavy_estimator_allocates_no_full_size_temporary():
+    m, r, d = 6151, 12, 256
+    W = gen_selection_matrix(m, r, 2, seed=16)
+    rng = np.random.Generator(np.random.Philox(key=17))
+    Z = np.abs(W.dense().astype(float) @ rng.normal(size=(r, d)))
+    tracemalloc.start()
+    try:
+        get_heavy_coordinates(W, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * d * 8 / 4
 
 
 def test_recover_dataset_end_to_end():
