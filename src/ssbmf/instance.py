@@ -105,6 +105,13 @@ def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
             raise IndexError(f"{what} ({','.join(map(str, idx))}) out of range for m={m}")
 
 
+def _bit(bits: np.ndarray, a, b) -> int:
+    """Bit b of packed row a, read with the indices as Python ints: numpy has
+    no uint64 >> int64 loop, so a numpy integer b would raise TypeError."""
+    a, b = int(a), int(b)
+    return int(bits[a, b >> 6]) >> (b & 63) & 1
+
+
 def _check_anchors(m: int, anchors) -> tuple:
     """The anchors as a tuple: IndexError naming the first one that is not
     an integer in [0, m), as for an entry, and ParameterError if none."""
@@ -217,7 +224,7 @@ class GramMatrix:
 
     def entry(self, a: int, b: int) -> int:
         _check_entry(self.m, (a, b))
-        return int(self.bits[a, b >> 6] >> (b & 63)) & 1
+        return _bit(self.bits, a, b)
 
     def dense(self, rows=None) -> np.ndarray:
         """Boolean entries as a 0/1 array of shape (m, m), or of the given rows only."""

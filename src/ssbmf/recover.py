@@ -70,7 +70,7 @@ def gen_instahide(X: Dataset, m: int, k: int, seed: int):
         raise ParameterError(f"need 2 <= k <= r, got k={k} r={X.r}")
     W = gen_selection_matrix(m, X.r, k, seed)
     Y = W.dense().astype(float) @ X.X
-    synthetic = SyntheticDataset(Z=np.abs(Y), W=W)
+    synthetic = SyntheticDataset(Z=np.abs(Y, out=Y), W=W)
     return synthetic, gram(W, "boolean")
 
 

@@ -7,7 +7,11 @@ from mu-inverted union sizes:
 
 Every path reads the union sizes from one table per tensor,
 ``mu.invert_counts`` of each zero count 0..m.  An anchored tensor is just
-its block; a lazy one counts each entry on demand.
+its block; a lazy one computes each entry on demand.  Since
+T_abc <= |S_a cap S_b|, a lazy entry is 0 without a count when one of the
+bits M[a,b], M[a,c], M[b,c] is 0, which spares most random triples the four
+union counts; it differs from the count only where a count is misread,
+below the sample size.
 
 An anchored block reads only the anchor rows of M, merged over their
 distinct columns into weighted packed words whose zero counts
@@ -27,8 +31,8 @@ import os
 import numpy as np
 
 from .errors import InconsistencyError, ParameterError
-from .instance import (_WORD, GramMatrix, SelectionMatrix, _check_anchors, _check_entry, _pack,
-                       _row_chunks, _unpack)
+from .instance import (_WORD, GramMatrix, SelectionMatrix, _bit, _check_anchors, _check_entry,
+                       _pack, _row_chunks, _unpack)
 from .mu import _zero_count, invert_counts, mu_table, zero_counts
 
 
@@ -129,19 +133,23 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     [0, m) raises IndexError, and no anchors or a block beyond physical
     memory ParameterError, as does a block the process cannot allocate.  A
     distinct triple with a zero pair entry is 0 by the pair bound.
-    mode="lazy" only supports per-entry access, each entry counting zeros in
-    the ORs of its three packed rows.  Entries outside {0..k} raise
-    InconsistencyError.
+    mode="lazy" only supports per-entry access: an entry is 0 when one of
+    its three pair bits of M is 0, else it counts zeros in the ORs of its
+    three packed rows.  Entries outside {0..k} raise InconsistencyError.
     """
     m = M.m
     # Union size of every zero count 0..m: the one mu-inversion per tensor.
     size_of = invert_counts(np.arange(m + 1), m, mu_table(r, k))
     if mode == "lazy":
         sizes = size_of.tolist()  # a list reads one entry faster than the array
+        bits = M.bits
 
         def entry_fn(a, b, c):
-            A, B, C = M.bits[a], M.bits[b], M.bits[c]
-            unions = np.empty((4, M.bits.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
+            # T_abc <= |S_a cap S_b|, ...: 0 unless M says all three pairs meet.
+            if not (_bit(bits, a, b) and _bit(bits, a, c) and _bit(bits, b, c)):
+                return 0
+            A, B, C = bits[a], bits[b], bits[c]
+            unions = np.empty((4, bits.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
             np.bitwise_or(np.bitwise_or(A, B, out=unions[1]), C, out=unions[0])
             np.bitwise_or(A, C, out=unions[2])
             np.bitwise_or(B, C, out=unions[3])

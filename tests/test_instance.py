@@ -223,6 +223,13 @@ def test_gram_entry_rejects_an_index_that_is_not_an_integer(index):
         with pytest.raises(IndexError, match=rf"^entry \({name}\): .* is not an integer index$"):
             M.entry(*pair)
     assert M.entry(np.int64(3), np.uint8(199)) == M.dense()[3, 199]
+    # numpy integers in every position, at a set bit and at a zero bit.
+    dense = M.dense()
+    assert dense[3].min() == 0 and dense[3].max() == 1
+    for a, b in ((3, int(np.argmax(dense[3]))), (3, int(np.argmin(dense[3])))):
+        for np_int in (np.int64, np.int32):
+            for pair in ((np_int(a), b), (a, np_int(b)), (np_int(a), np_int(b))):
+                assert M.entry(*pair) == dense[a, b]
 
 
 def test_gram_matrix_needs_a_row():

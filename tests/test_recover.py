@@ -49,6 +49,21 @@ def test_gen_instahide_shapes_and_consistency():
     assert M.m == 25 and np.array_equal(gram(syn.W).bits, M.bits)
 
 
+def test_gen_instahide_emits_the_absolute_mixture_exactly_from_one_m_by_d_array():
+    m, r, d = 6151, 12, 256
+    X = np.random.Generator(np.random.Philox(key=5)).normal(size=(r, d))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        syn, _ = gen_instahide(Dataset(X=X), m=m, k=2, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(syn.Z, np.abs(syn.W.dense() @ X))
+    # |W X| is taken in place: set-up never holds W X and |W X| at once.
+    assert peak - start < 2 * m * d * 8
+
+
 def test_gen_instahide_requires_k_at_least_2():
     X = Dataset(X=np.zeros((5, 2)))
     with pytest.raises(ParameterError):

@@ -131,6 +131,13 @@ def _forced_zero(block):
             & ~(meet[:, :, None] & meet[:, None, :] & meet[None, :, :]))
 
 
+def _unmet(M, rows):
+    """Flags of the triples over the given rows with a zero bit of M among
+    their three pairs, which a lazy entry returns as 0 without a count."""
+    meet = M.dense(rows)[:, rows].astype(bool)
+    return ~(meet[:, :, None] & meet[:, None, :] & meet[None, :, :])
+
+
 def _reference_block(M, r, k, anchors):
     """The dense bootstrap with the entries the pair bound forces to 0
     zeroed: the block, or (triple, value) of its first bad entry."""
@@ -352,9 +359,11 @@ def test_lazy_entries_match_the_oracle_on_ordered_triples(m, k):
 def test_lazy_entries_match_the_dense_bootstrap_at_k3(m):
     # k = 3 at m ~ 64 is far below the sample size: many entries leave
     # {0..k}, and each such entry raises with the dense bootstrap's value.
+    # A triple with a zero pair bit of M is 0 whatever its count.
     M = gram(gen_selection_matrix(m, 12, 3, seed=m))
     T = build_tensor(M, 12, 3, mode="lazy")
     want = _bootstrap(M, 12, 3, list(range(m)))
+    want[_unmet(M, list(range(m)))] = 0
     bad = 0
     for a, b, c in product(list(range(10)) + list(range(m - 6, m)), repeat=3):
         if 0 <= want[a, b, c] <= 3:
@@ -367,18 +376,51 @@ def test_lazy_entries_match_the_dense_bootstrap_at_k3(m):
     assert bad > 0
 
 
+@pytest.mark.parametrize("m, r, k", [(6151, 12, 2), (13302, 16, 3)])
+def test_lazy_entries_of_rows_that_meet_pairwise_match_the_oracle(m, r, k):
+    # Few random triples meet pairwise, so these are drawn to: b meets a and
+    # c meets both, read from W's supports.  Each is counted, not skipped.
+    W = gen_selection_matrix(m, r, k, seed=m)
+    M = gram(W)
+    T = build_tensor(M, r, k, mode="lazy")
+    oracle = oracle_tensor(W)
+    support = W.dense().astype(bool)
+    rng = np.random.default_rng(m)
+    values = []
+    for a in rng.choice(m, 100, replace=False):
+        meets_a = support @ support[a]
+        b = rng.choice(np.flatnonzero(meets_a))
+        c = rng.choice(np.flatnonzero(meets_a & (support @ support[b])))
+        for triple in ((a, b, c), (c, a, b), (a, a, b), (b, c, c)):
+            assert all(M.entry(*p) for p in combinations(triple, 2))
+            assert T.entry(*triple) == oracle.entry(*triple)
+            values.append(oracle.entry(*triple))
+    assert {0, 1, 2} <= set(values)
+
+
 @pytest.mark.parametrize("mode", ["lazy", "anchored"])
 @pytest.mark.parametrize("index", [True, np.True_, False, 1.0, 1.5, np.float64(2.0), "1"])
 def test_entry_rejects_an_index_that_is_not_an_integer(mode, index):
     # A bool would silently read row 0 or 1, a float is not a row at all.
     W = gen_selection_matrix(300, 8, 2, seed=1)
-    T = build_tensor(gram(W), 8, 2, mode=mode, anchors=None if mode == "lazy" else range(8))
+    M = gram(W)
+    T = build_tensor(M, 8, 2, mode=mode, anchors=None if mode == "lazy" else range(8))
     for triple in ((index, 0, 1), (0, index, 1), (0, 1, index)):
         name = ",".join(map(str, triple))
         with pytest.raises(IndexError, match=rf"^entry \({name}\): .* is not an integer index$"):
             T.entry(*triple)
     oracle = oracle_tensor(W)
     assert T.entry(np.int64(3), np.uint8(1), 2) == oracle.entry(3, 1, 2)
+    # numpy integers in every position, at a triple whose pair bits are all
+    # set and at one with a zero pair bit.
+    met = [t for t in combinations(range(8), 3) if all(M.entry(*p) for p in combinations(t, 2))]
+    unmet = [t for t in combinations(range(8), 3) if t not in met]
+    for triple in (met[0], unmet[0]):
+        for np_int, pos in product((np.int64, np.int32), range(3)):
+            given = list(triple)
+            given[pos] = np_int(given[pos])
+            assert T.entry(*given) == oracle.entry(*triple)
+        assert T.entry(*map(np.int32, triple)) == oracle.entry(*triple)
 
 
 @pytest.mark.parametrize("anchors, triple", [
