@@ -2,11 +2,11 @@
 Max 2-CSP over the alphabet of k-sparse indicator vectors, with exact
 enumeration and local-search solvers at desk scale.
 
-Alphabet letters are addressed by colexicographic rank; a solve builds the
-C(r, k) x r 0/1 letter matrix once.  Constraints live only on u < v
-(symmetric) or on the complete bipartite graph (asymmetric), which is solved
-as the symmetric instance on both sides; the diagonal is forced and therefore
-omitted, so objective identities use off-diagonal counts.
+Alphabet letters are addressed by colexicographic rank; a solve builds once the
+table sat[c, s, t] of whether letters s and t meet target c.  Constraints live
+only on u < v (symmetric) or on the complete bipartite graph (asymmetric), which
+is solved as the symmetric instance on both sides; the diagonal is forced and
+therefore omitted, so objective identities use off-diagonal counts.
 """
 
 from __future__ import annotations
@@ -104,39 +104,34 @@ def reduce_asymmetric(M, r: int, k: int) -> CspInstance:
 
 
 def _symmetric_view(inst: CspInstance):
-    """inst as a symmetric instance on its n_vertices vertices: the C(r, k) x r
-    0/1 letter matrix by rank, the n x n targets and the n x n adjacency (a
-    bipartite instance joins each side to the other)."""
+    """inst as a symmetric instance on its n_vertices vertices: the (k+1) x q x q
+    table sat[c, s, t] (ranks s and t meet target c), the n x n targets and the
+    n x n adjacency (a bipartite instance joins each side to the other)."""
     q, n, m = inst.alphabet_size, inst.n_vertices, inst.m
     ranks = [unrank_subset(t, inst.r, inst.k) for t in range(q)]
     alphabet = SelectionMatrix(m=q, r=inst.r, k=inst.k, rows=ranks).dense().astype(np.int64)
+    inner, c = alphabet @ alphabet.T, np.arange(inst.k + 1)[:, None, None]
+    sat = (inner > 0) == (c > 0) if inst.mode == "boolean" else inner == c
     if not inst.bipartite:
-        return alphabet, inst.targets, ~np.eye(n, dtype=bool)
+        return sat, inst.targets, ~np.eye(n, dtype=bool)
     targets = np.zeros((n, n), dtype=np.int64)
     targets[:m, m:], targets[m:, :m] = inst.targets, inst.targets.T
     side = np.arange(n) < m
-    return alphabet, targets, side[:, None] != side[None, :]
+    return sat, targets, side[:, None] != side[None, :]
 
 
-def _satisfies(inst: CspInstance, letters, neighbours, targets) -> np.ndarray:
-    """Whether each letter row meets the target against each neighbour row."""
-    inner = letters @ neighbours.T
-    return (inner > 0) == (targets > 0) if inst.mode == "boolean" else inner == targets
-
-
-def _evaluate(inst: CspInstance, view, sigma) -> int:
-    alphabet, targets, adjacency = view
-    sigma = np.asarray(sigma)
-    if sigma.shape != (len(targets),) or sigma.min() < 0 or sigma.max() >= len(alphabet):
+def _evaluate(view, sigma) -> int:
+    sat, targets, adjacency = view
+    sigma, q = np.asarray(sigma), sat.shape[1]
+    if sigma.shape != (len(targets),) or sigma.min() < 0 or sigma.max() >= q:
         raise ParameterError(f"assignment {sigma.tolist()} is not {len(targets)} letter "
-                             f"ranks in [0, {len(alphabet)})")
-    letters = alphabet[sigma]
-    return int((_satisfies(inst, letters, letters, targets) & adjacency).sum()) // 2
+                             f"ranks in [0, {q})")
+    return int((sat[targets, sigma[:, None], sigma] & adjacency).sum()) // 2
 
 
 def evaluate(inst: CspInstance, sigma) -> int:
     """Number of satisfied edges under the assignment (ranks per vertex)."""
-    return _evaluate(inst, _symmetric_view(inst), sigma)
+    return _evaluate(_symmetric_view(inst), sigma)
 
 
 def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
@@ -150,9 +145,9 @@ def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
     q, n = inst.alphabet_size, inst.n_vertices
     if q ** n > budget:
         raise BudgetExceededError(f"{q}^{n} assignments exceed budget {budget}")
-    alphabet, targets, adjacency = _symmetric_view(inst)
+    sat, targets, adjacency = _symmetric_view(inst)
     u, v = np.nonzero(np.triu(adjacency))
-    tables = _satisfies(inst, alphabet, alphabet, targets[u, v][:, None, None]).reshape(-1, q * q)
+    tables = sat[targets[u, v]].reshape(-1, q * q)
     best_sigma, best_value = None, -1
     step = max(1, _EXACT_BLOCK // max(1, len(u)))
     for lo in range(0, q ** n, step):
@@ -168,20 +163,25 @@ def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
                 seed: int = 0) -> Assignment:
     """Random restarts + best-improvement single-vertex moves.
 
-    Each move scores the full alphabet for one vertex; ties break toward
-    the lowest rank for determinism.
+    A move scores the full alphabet for one vertex v from the histogram of its
+    neighbours' (target, letter) pairs: table[t, c*q + s] = sat[c, t, s], so a
+    move costs O(n + k q^2).  Ties break toward the lowest rank for determinism.
     """
+    if restarts < 1 or iters < 0:
+        raise ParameterError(f"need restarts >= 1 and iters >= 0, got {restarts} and {iters}")
     q, n = inst.alphabet_size, inst.n_vertices
-    view = alphabet, targets, adjacency = _symmetric_view(inst)
+    view = sat, targets, adjacency = _symmetric_view(inst)
+    table = sat.transpose(1, 0, 2).reshape(q, -1).astype(np.int64)
     best = None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         sigma = _rng(seed, restart).integers(0, q, size=n)
-        value = _evaluate(inst, view, sigma)
+        value = _evaluate(view, sigma)
         for _ in range(iters):
             improved = False
             for v in range(n):
-                scores = (_satisfies(inst, alphabet, alphabet[sigma], targets[v])
-                          & adjacency[v]).sum(axis=1)
+                nb = adjacency[v]
+                scores = table @ np.bincount(targets[v, nb] * q + sigma[nb],
+                                             minlength=table.shape[1])
                 t = int(np.argmax(scores))
                 if scores[t] > scores[sigma[v]]:
                     value += int(scores[t] - scores[sigma[v]])

@@ -155,12 +155,14 @@ def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
     ({}, ["probe", "anticoncentration", "--r", "3", "--k", "4"]),
     ({}, ["probe", "krawtchouk", "--r", "0", "--k", "0"]),
     ({"g.json": G_CYCLE}, ["csp", "--gram", "g.json", "--r", "4", "--k", "9"]),
+    ({"g.json": G_CYCLE}, ["csp", "--gram", "g.json", "--r", "4", "--k", "2", "--solver", "local",
+                           "--restarts", "0"]),
     ({}, ["bench", "--r", "3", "--k", "5"]),
 ], ids=["float-entry", "bool-entry", "short-row", "float-m", "W-not-object",
         "M-not-object", "probe-rank-without-in", "Z-rows-not-m", "Z-not-finite",
         "W-rows-not-m", "probe-rank-W-rows-not-m", "anticoncentration-k-0",
         "anticoncentration-k-above-r", "krawtchouk-r-0", "csp-k-above-r",
-        "bench-k-above-r"])
+        "csp-local-restarts-0", "bench-k-above-r"])
 def test_input_errors_exit_2(files, argv, tmp_path, capsys):
     for name, content in files.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
@@ -170,7 +172,9 @@ def test_input_errors_exit_2(files, argv, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if argv[0] in ("csp", "bench"):  # the shape the user gave, not a derived m
+    if "--restarts" in argv:
+        assert "need restarts >= 1 and iters >= 0" in err
+    elif argv[0] in ("csp", "bench"):  # the shape the user gave, not a derived m
         r, k = argv[argv.index("--r") + 1], argv[argv.index("--k") + 1]
         assert f"r={r} k={k}" in err and "m=" not in err
 

@@ -11,7 +11,7 @@ from ssbmf.csp import (Assignment, assignment_to_factors, evaluate,
                        rank_subset, reduce_asymmetric, reduce_symmetric,
                        solve_exact, solve_local, unrank_subset)
 from ssbmf.errors import BudgetExceededError
-from ssbmf.instance import SelectionMatrix
+from ssbmf.instance import SelectionMatrix, _rng
 
 
 def test_rank_examples():
@@ -90,9 +90,10 @@ def test_evaluate_rejects_out_of_range_ranks():
             evaluate(inst, sigma)
 
 
-def test_identity_exhaustive_small():
+@pytest.mark.parametrize("mode", ["integer", "boolean"])
+def test_identity_exhaustive_small(mode):
     # off-diagonal L0 = 2 (|E| - value) for every assignment
-    W, inst = planted_instance()
+    W, inst = planted_instance(mode)
     q = inst.alphabet_size
     for sigma in itertools.product(range(q), repeat=4):
         value = evaluate(inst, sigma)
@@ -163,6 +164,63 @@ def test_solve_local_deterministic():
     a = solve_local(inst, restarts=5, iters=20, seed=3)
     b = solve_local(inst, restarts=5, iters=20, seed=3)
     assert a.sigma == b.sigma and a.value == b.value
+
+
+@pytest.mark.parametrize("restarts, iters", [(0, 10), (1, -1)])
+def test_solve_local_rejects_no_restarts_or_negative_iters(restarts, iters):
+    _, inst = planted_instance()
+    with pytest.raises(ParameterError, match=f"got {restarts} and {iters}$"):
+        solve_local(inst, restarts=restarts, iters=iters)
+
+
+def _satisfies(inst, letters, neighbours, targets):
+    """Whether each letter row meets the target against each neighbour row."""
+    inner = letters @ neighbours.T
+    return (inner > 0) == (targets > 0) if inst.mode == "boolean" else inner == targets
+
+
+def _solve_local_by_products(inst, restarts, iters, seed):
+    """Reference for solve_local: the same restarts and moves, but each move
+    scores every letter against the letters of all n vertices by a q x r by
+    r x n product of 0/1 letter rows, masked by the vertex's adjacency row."""
+    q, n = inst.alphabet_size, inst.n_vertices
+    ranks = [unrank_subset(t, inst.r, inst.k) for t in range(q)]
+    alphabet = SelectionMatrix(m=q, r=inst.r, k=inst.k, rows=ranks).dense().astype(np.int64)
+    _, targets, adjacency = csp._symmetric_view(inst)
+    best_sigma, best_value = None, -1
+    for restart in range(restarts):
+        sigma = _rng(seed, restart).integers(0, q, size=n)
+        letters = alphabet[sigma]
+        value = int((_satisfies(inst, letters, letters, targets) & adjacency).sum()) // 2
+        for _ in range(iters):
+            improved = False
+            for v in range(n):
+                scores = (_satisfies(inst, alphabet, alphabet[sigma], targets[v])
+                          & adjacency[v]).sum(axis=1)
+                t = int(np.argmax(scores))
+                if scores[t] > scores[sigma[v]]:
+                    value += int(scores[t] - scores[sigma[v]])
+                    sigma[v] = t
+                    improved = True
+            if not improved:
+                break
+        if value > best_value:
+            best_sigma, best_value = tuple(sigma.tolist()), value
+    return best_sigma, best_value
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: reduce_symmetric(gram(gen_selection_matrix(20, 8, 2, seed=seed)), 8, 2, "boolean"),
+    lambda seed: reduce_symmetric(gram(gen_selection_matrix(20, 8, 2, seed=seed), "integer"), 8, 2),
+    lambda seed: reduce_asymmetric(
+        np.random.Generator(np.random.Philox(key=seed)).integers(0, 3, size=(6, 6)), 4, 2),
+], ids=["boolean", "integer", "bipartite"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_local_matches_product_reference(make, seed):
+    inst = make(seed)
+    best = solve_local(inst, restarts=4, iters=20, seed=seed)
+    assert (best.sigma, best.value) == _solve_local_by_products(inst, 4, 20, seed)
+    assert best.value == evaluate(inst, best.sigma)
 
 
 def test_boolean_mode_identity():
