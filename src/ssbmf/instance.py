@@ -78,8 +78,8 @@ def _holds_bool(rows) -> bool:
 
 def _is_int(x) -> bool:
     """Whether x is an integer and not a bool, which numpy and range checks
-    would read as 0 or 1."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    would read as 0 or 1.  A plain int, the common index, is tested first."""
+    return type(x) is int or isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_shape(r: int, k: int, m: int = None) -> None:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (DegeneracyError, ExtensionError, ParameterError,
                      RankDeficiencyError, RoundingError, SsbmfError)
-from .instance import (GramMatrix, SelectionMatrix, _check_anchors, _check_shape, _is_int,
-                       _rng, _unpack, factorization_error)
+from .instance import (_WORD, GramMatrix, SelectionMatrix, _check_anchors, _check_shape,
+                       _is_int, _pack, _rng, _row_chunks, _unpack, factorization_error)
 from .mu import mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
@@ -29,7 +29,8 @@ SV_CUTOFF = 1e-8  # relative eigenvalue of T(I, I, 1) below which a direction is
 GAP_TOL = 1e-6  # relative eigen-gap below which eigenvectors are not determined
 RETRIES = 5  # random contractions tried before a collision is reported
 ROUND_TOL = 0.25  # a scaled entry this far from {0, 1} was not recovered
-REPORTED_DIAGNOSTICS = ("fallback_rows", "eigen_gap")  # carried by timed reports
+# carried by timed reports
+REPORTED_DIAGNOSTICS = ("fallback_rows", "decode_passes", "undecided_rows", "eigen_gap")
 
 
 @dataclass
@@ -114,6 +115,48 @@ def round_boolean(v) -> np.ndarray:
     return (scaled > 0.5).astype(np.int8)
 
 
+def _decode_passes(candidates: np.ndarray, undecided: np.ndarray, bits: np.ndarray, k: int):
+    """Iterate the decode with every decoded row as a test, in place on the
+    (m, r) candidate flags: returns (rows still undecided, passes run).
+
+    holders[j] packs the decoded rows holding j (the rows with exactly k
+    candidates).  A pass drops candidate j of an undecided row a when some
+    holder of j does not meet S_a, i.e. holders[j] & ~M[a] has a set bit,
+    reading only the undecided rows' candidate pairs.  Candidates only
+    shrink, and for an exact M every decoded row holding a column of S_a
+    meets a, so S_a survives.  The passes stop when no row is undecided or
+    when one decodes no new row, after which another would drop nothing.
+    """
+    passes = 1  # the anchor pass
+    if not len(undecided):
+        return undecided, passes
+    m, r = candidates.shape
+    decoded = np.ones(m, dtype=bool)
+    decoded[undecided] = False
+    packed = np.zeros((r, 8 * bits.shape[1]), dtype=np.uint8)
+    packed[:, : (m + 7) // 8] = np.packbits(candidates, axis=0, bitorder="little").T
+    holders = packed.view(_WORD) & _pack(decoded[None])
+    while len(undecided):
+        passes += 1
+        rows, cols = np.nonzero(candidates[undecided])
+        rows = undecided[rows]
+        drop = np.empty(len(rows), dtype=bool)
+        for lo, hi in _row_chunks(len(rows), bits.shape[1]):
+            missed = np.invert(bits[rows[lo:hi]])
+            missed &= holders[cols[lo:hi]]
+            drop[lo:hi] = missed.any(axis=1)
+        candidates[rows[drop], cols[drop]] = False
+        done = np.count_nonzero(candidates[undecided], axis=1) == k
+        if not done.any():
+            break
+        new, undecided = undecided[done], undecided[~done]
+        rows, cols = np.nonzero(candidates[new])
+        rows = new[rows]
+        np.bitwise_or.at(holders, (cols, rows >> 6),
+                         np.left_shift(_WORD.type(1), (rows & 63).astype(_WORD)))
+    return undecided, passes
+
+
 def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
                         M: GramMatrix, k: int, diagnostics: dict = None) -> SelectionMatrix:
     """Fill in the non-anchor rows of W from the recovered anchor block.
@@ -122,13 +165,16 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
     when every anchor holding j meets S_a, as column a of M's anchor rows
     tells (M is symmetric), read as one AND of their packed words per j.
     S_a is among the candidates, so a row with exactly k of them is S_a.
-    Each other row (``diagnostics["fallback_rows"]`` counts them) is the
-    rounded least-squares solution of (anchor block) x = c for
-    c_ab = 2k - |S_a cup S_b| (mu-inverted from M), re-checked exactly; a
-    failing row raises ExtensionError naming the lowest such row.  An anchor
-    index that is not an integer in [0, m) raises IndexError, and an empty
-    anchor set, or one whose size is not the block's row count,
-    ParameterError, before M is read.
+    The rows this anchor pass leaves undecided (``diagnostics
+    ["fallback_rows"]`` counts them) go through further passes that use
+    every decoded row as a test (``_decode_passes``; ``decode_passes``
+    counts all passes, the anchor pass included).  Each row still undecided
+    (``undecided_rows``) is the rounded least-squares solution of (anchor
+    block) x = c for c_ab = 2k - |S_a cup S_b| (mu-inverted from M),
+    re-checked exactly; a failing row raises ExtensionError naming the
+    lowest such row.  An anchor index that is not an integer in [0, m)
+    raises IndexError, and an empty anchor set, or one whose size is not the
+    block's row count, ParameterError, before M is read.
     """
     anchor_indices = np.asarray(_check_anchors(M.m, anchor_indices), dtype=np.intp)
     anchor_block = np.asarray(anchor_block, dtype=float)
@@ -152,8 +198,11 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
                                 for j in range(r)]), M.m).T == 1
     rounded[anchor_indices] = held
     rest = np.flatnonzero(np.count_nonzero(rounded, axis=1) != k)  # increasing
+    fallback_rows = len(rest)
+    rest, passes = _decode_passes(rounded, rest, M.bits, k)
     if diagnostics is not None:
-        diagnostics["fallback_rows"] = len(rest)
+        diagnostics.update(fallback_rows=fallback_rows, decode_passes=passes,
+                           undecided_rows=len(rest))
     counts = 2 * k - union_block(M, mu_table(r, k), rest, anchor_indices)
     extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
     sums = extended.sum(axis=1)

@@ -275,6 +275,23 @@ def test_bench_subcommand(capsys):
     assert out["recover_eigen_gap"] > 0
 
 
+def test_bench_prints_the_decode_passes_and_files_stay_free_of_them(tmp_path, capsys):
+    # The anchor pass leaves rows undecided here; the further passes decode
+    # them all, so none reaches the least squares.
+    assert main(["bench", "--m", "20000", "--r", "40", "--k", "5", "--seed", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["recover_success"] is True
+    assert out["recover_fallback_rows"] > 0 and out["recover_undecided_rows"] == 0
+    assert out["recover_decode_passes"] >= 2
+    w_path, g_path, rep_path = tmp_path / "w.json", tmp_path / "g.json", tmp_path / "r.json"
+    assert main(["gen", "--m", "3905", "--r", "8", "--k", "2", "--seed", "3",
+                 "--out", str(w_path)]) == 0
+    assert main(["gram", "--in", str(w_path), "--out", str(g_path)]) == 0
+    assert main(["attack", "--gram", str(g_path), "--r", "8", "--k", "2", "--anchors", "40",
+                 "--seed", "3", "--out", str(rep_path)]) == 0
+    assert set(json.loads(rep_path.read_text())) == {"success", "residual", "retries"}
+
+
 def test_bench_prints_the_recovery_report_with_its_failure(capsys):
     # Far below the sample size the bootstrap fails; bench still exits 0 and
     # prints the whole report, so the failure says why.

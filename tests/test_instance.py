@@ -213,6 +213,10 @@ def test_gram_entry_rejects_indices_outside_the_rows():
             M.entry(a, b)
 
 
+class _Row(int):
+    """An int subclass that is not bool."""
+
+
 @pytest.mark.parametrize("index", [True, np.True_, False, 1.0, 1.5, np.float64(2.0), "1"])
 def test_gram_entry_rejects_an_index_that_is_not_an_integer(index):
     # A bool would silently read row or column 0 or 1; numpy's own errors
@@ -230,6 +234,8 @@ def test_gram_entry_rejects_an_index_that_is_not_an_integer(index):
         for np_int in (np.int64, np.int32):
             for pair in ((np_int(a), b), (a, np_int(b)), (np_int(a), np_int(b))):
                 assert M.entry(*pair) == dense[a, b]
+        # An int subclass other than bool is an integer, as a plain int is.
+        assert M.entry(_Row(a), _Row(b)) == dense[a, b]
 
 
 def test_gram_matrix_needs_a_row():

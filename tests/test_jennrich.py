@@ -286,14 +286,148 @@ def test_decode_candidates_match_dense_brute_force(m, n0, monkeypatch):
     assert np.array_equal(W_hat.dense(), candidates)
 
 
+def _packed_gram(dense) -> GramMatrix:
+    """A GramMatrix holding the 0/1 array dense as is, symmetric or not."""
+    m = len(dense)
+    bits = np.packbits(dense, axis=1, bitorder="little")
+    words = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    return GramMatrix(m=m, bits=words.view("<u8"))
+
+
+def _iterated_decode_reference(dense, anchors, block, k):
+    """The iterated decode with Python sets: (candidates of every row, the
+    rows left undecided, passes run, the rows the anchor pass left undecided).
+    A pass keeps candidate j of an undecided row a when dense[a][b] is set
+    for every row b decoded before the pass that holds j."""
+    m, r = len(dense), block.shape[1]
+    held = {b: {j for j in range(r) if row[j]} for b, row in zip(anchors, block)}
+    candidates = [{j for j in range(r) if all(dense[b][a] for b in anchors if j in held[b])}
+                  for a in range(m)]
+    for b in anchors:
+        candidates[b] = held[b]
+    undecided = [a for a in range(m) if len(candidates[a]) != k]
+    fallback_rows, passes = undecided, 1
+    while undecided:
+        passes += 1
+        tests = set(range(m)) - set(undecided)
+        for a in undecided:
+            candidates[a] = {j for j in candidates[a]
+                             if all(dense[a][b] for b in tests if j in candidates[b])}
+        if all(len(candidates[a]) != k for a in undecided):
+            break
+        undecided = [a for a in undecided if len(candidates[a]) != k]
+    return candidates, undecided, passes, fallback_rows
+
+
+@pytest.mark.parametrize("flip", [0, 0.01, 0.03, 0.05])
+@pytest.mark.parametrize("m", [63, 64, 65, 130])
+def test_iterated_decode_matches_dense_brute_force(m, flip, monkeypatch):
+    # Exact Gram matrices and ones with a share of their bits flipped (not
+    # symmetrically), around the word boundary; 16 anchors leave 3-55 rows
+    # to the passes, which run 2-3 times.
+    r, k, n0 = 8, 2, 16
+    W = gen_selection_matrix(m, r, k, seed=m)
+    rng = np.random.default_rng(m)
+    dense = gram(W).dense() ^ (rng.random((m, m)) < flip)
+    anchors = sorted(rng.choice(m, size=n0, replace=False).tolist())
+    block = W.dense()[anchors]
+    assert np.linalg.matrix_rank(block) == r
+    candidates, undecided, passes, fallback_rows = _iterated_decode_reference(
+        dense.tolist(), anchors, block, k)
+    assert fallback_rows
+    # Each undecided row gets the exact unions of the support {0..k-1}.
+    fallback = np.zeros(r, dtype=np.int8)
+    fallback[:k] = 1
+    calls = []
+
+    def union_block(M_, table, rows_a, rows_b):
+        calls.append(list(rows_a))
+        return 2 * k - np.tile(block @ fallback, (len(rows_a), 1))
+
+    monkeypatch.setattr("ssbmf.jennrich.union_block", union_block)
+    diagnostics = {}
+    W_hat = extend_from_anchors(block, anchors, _packed_gram(dense), k, diagnostics)
+    assert calls == [undecided]
+    assert (diagnostics["fallback_rows"], diagnostics["decode_passes"],
+            diagnostics["undecided_rows"]) == (len(fallback_rows), passes, len(undecided))
+    want = np.zeros((m, r), dtype=np.int8)
+    for a, columns in enumerate(candidates):
+        want[a, sorted(columns)] = 1
+    want[undecided] = fallback
+    assert np.array_equal(W_hat.dense(), want)
+    if flip == 0:
+        assert undecided == [] and np.array_equal(W_hat.support, W.support)
+
+
+@pytest.mark.parametrize("m, r, k, n0, seed", [
+    (13302, 16, 3, 64, 105), (600, 6, 2, 12, 2), (300, 8, 2, 20, 2),
+    (1500, 16, 3, 48, 1), (20000, 40, 5, 56, 9)])
+def test_iterated_decode_leaves_no_row_to_least_squares(m, r, k, n0, seed, monkeypatch):
+    # The instances of the least-squares reference test: on an exact M the
+    # passes decode every row the anchor pass left, so the least squares
+    # gets none.
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
+    calls = []
+
+    def spy(M_, table, rows_a, rows_b):
+        calls.append(list(rows_a))
+        return union_block(M_, table, rows_a, rows_b)
+
+    monkeypatch.setattr("ssbmf.jennrich.union_block", spy)
+    diagnostics = {}
+    W_hat = extend_from_anchors(W.dense()[anchors], anchors, gram(W), k, diagnostics)
+    assert np.array_equal(W_hat.support, W.support)
+    assert diagnostics["fallback_rows"] > 0
+    assert diagnostics["undecided_rows"] == 0 and diagnostics["decode_passes"] >= 2
+    assert calls == [[]]
+
+
+def test_a_row_below_k_candidates_goes_to_least_squares(monkeypatch):
+    # M says that a row b, decoded by the anchor pass, misses a row a the
+    # anchor pass left undecided, though the two share a column j.  The next
+    # pass drops j from a, which leaves a with fewer than k candidates: a is
+    # not decoded but solved by least squares from its anchor unions, which
+    # M still holds exactly, so it comes out as W's row.
+    m, r, k, n0, seed = 3000, 6, 2, 16, 0
+    W = gen_selection_matrix(m, r, k, seed=seed)
+    anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
+    block, dense = W.dense()[anchors], gram(W).dense()
+    *_, fallback_rows = _iterated_decode_reference(dense.tolist(), anchors, block, k)
+    a = fallback_rows[0]
+    b = next(b for b in range(m) if b not in anchors and b not in fallback_rows
+             and W.support[a][0] in W.support[b])
+    dense[a, b] = dense[b, a] = 0
+    candidates, undecided, _, _ = _iterated_decode_reference(dense.tolist(), anchors, block, k)
+    assert undecided == [a] and len(candidates[a]) < k
+    calls = []
+
+    def spy(M_, table, rows_a, rows_b):
+        calls.append(list(rows_a))
+        return union_block(M_, table, rows_a, rows_b)
+
+    monkeypatch.setattr("ssbmf.jennrich.union_block", spy)
+    diagnostics = {}
+    W_hat = extend_from_anchors(block, anchors, _packed_gram(dense), k, diagnostics)
+    assert calls == [[a]] and diagnostics["undecided_rows"] == 1
+    assert np.array_equal(W_hat.support, W.support)
+
+
 def test_extend_names_a_row_that_fails_the_re_check(monkeypatch):
-    # Exact unions for the fallback rows, but one count of the lowest such row
-    # off by one: its rounded row is still k-sparse, and the re-check, which
-    # compares it with the counts it was solved from, names it.
+    # M says the lowest non-anchor row a misses an anchor b that shares a
+    # column with it, so that column is never a candidate of a and a alone
+    # stays undecided.  Exact unions for it, but one count off by one: its
+    # rounded row is still k-sparse, and the re-check, which compares it
+    # with the counts it was solved from, names it.
     m, r, k, n0, seed = 300, 8, 2, 20, 2
     W = gen_selection_matrix(m, r, k, seed=seed)
     anchors = sorted(np.random.default_rng(seed).choice(m, size=n0, replace=False).tolist())
     dense = W.dense().astype(np.int64)
+    a = min(set(range(m)) - set(anchors))
+    b = next(b for b in anchors if dense[a] @ dense[b])
+    gram_dense = gram(W).dense()
+    gram_dense[a, b] = gram_dense[b, a] = 0
     calls = []
 
     def union_block(M_, table, rows_a, rows_b):
@@ -304,7 +438,7 @@ def test_extend_names_a_row_that_fails_the_re_check(monkeypatch):
 
     monkeypatch.setattr("ssbmf.jennrich.union_block", union_block)
     with pytest.raises(ExtensionError) as exc:
-        extend_from_anchors(dense[anchors], anchors, gram(W), k)
+        extend_from_anchors(dense[anchors], anchors, _packed_gram(gram_dense), k)
     assert len(calls) == 1 and calls[0]
     assert str(exc.value) == f"row {calls[0][0]} fails the intersection re-check"
 

@@ -398,6 +398,10 @@ def test_lazy_entries_of_rows_that_meet_pairwise_match_the_oracle(m, r, k):
     assert {0, 1, 2} <= set(values)
 
 
+class _Row(int):
+    """An int subclass that is not bool."""
+
+
 @pytest.mark.parametrize("mode", ["lazy", "anchored"])
 @pytest.mark.parametrize("index", [True, np.True_, False, 1.0, 1.5, np.float64(2.0), "1"])
 def test_entry_rejects_an_index_that_is_not_an_integer(mode, index):
@@ -421,6 +425,8 @@ def test_entry_rejects_an_index_that_is_not_an_integer(mode, index):
             given[pos] = np_int(given[pos])
             assert T.entry(*given) == oracle.entry(*triple)
         assert T.entry(*map(np.int32, triple)) == oracle.entry(*triple)
+        # An int subclass other than bool is an integer, as a plain int is.
+        assert T.entry(*map(_Row, triple)) == oracle.entry(*triple)
 
 
 @pytest.mark.parametrize("anchors, triple", [
