@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gram", required=True)
     p.add_argument("--mode", choices=["int", "bool"], default="bool")
     p.add_argument("--solver", choices=["exact", "local"], default="exact",
-                   help="local takes about 15 s at m=3905, r=8, k=2")
+                   help="local takes about 7 s at m=3905, r=8, k=2")
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--iters", type=int, default=100)

@@ -3,10 +3,11 @@ Max 2-CSP over the alphabet of k-sparse indicator vectors, with exact
 enumeration and local-search solvers at desk scale.
 
 Alphabet letters are addressed by colexicographic rank; a solve builds once the
-table sat[c, s, t] of whether letters s and t meet target c.  Constraints live
-only on u < v (symmetric) or on the complete bipartite graph (asymmetric), which
-is solved as the symmetric instance on both sides; the diagonal is forced and
-therefore omitted, so objective identities use off-diagonal counts.
+table sat[c, s, t] of whether letters s and t meet target c.  An instance is one
+symmetric n x n target matrix in which k + 1 marks a pair with no constraint,
+and no pair meets it.  Constraints live on u != v (symmetric) or across the
+complete bipartite graph (asymmetric, 2m vertices whose sides hold k + 1); the
+diagonal is forced and holds k + 1, so objective identities use off-diagonal counts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import GramMatrix, SelectionMatrix, _check_shape, _rng
+from .instance import GramMatrix, SelectionMatrix, _check_shape, _rng, _row_chunks
 
 _EXACT_BLOCK = 1 << 18  # edge-assignment pairs scored per block by solve_exact
 
@@ -48,7 +49,7 @@ class CspInstance:
     mode: str            # "integer" or "boolean"
     bipartite: bool
     m: int               # vertices per side (total n = m or 2m)
-    targets: np.ndarray  # m x m required values
+    targets: np.ndarray  # n x n required values in 0..k, k + 1 for no constraint
 
     @property
     def alphabet_size(self) -> int:
@@ -78,15 +79,17 @@ def reduce_symmetric(M: GramMatrix, r: int, k: int,
         if M.counts is None:
             raise ParameterError("integer mode needs integer entries; "
                                  "regenerate with gram --arithmetic integer")
-        targets = np.asarray(M.counts, dtype=np.int64)
-        if targets.min() < 0 or targets.max() > k:
+        values = np.asarray(M.counts)
+        if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > k:
             raise ParameterError("integer entries must lie in {0..k}")
     elif mode == "boolean":
-        targets = M.dense().astype(np.int64)
+        values = M.dense()
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    if not np.array_equal(targets, targets.T):
+    if not np.array_equal(values, values.T):
         raise ParameterError("symmetric reduction requires a symmetric matrix")
+    targets = values.astype(np.min_scalar_type(k + 1))
+    np.fill_diagonal(targets, k + 1)
     return CspInstance(r=r, k=k, mode=mode, bipartite=False, m=M.m,
                        targets=targets)
 
@@ -94,44 +97,40 @@ def reduce_symmetric(M: GramMatrix, r: int, k: int,
 def reduce_asymmetric(M, r: int, k: int) -> CspInstance:
     """Complete-bipartite instance for the two-factor problem M = U V."""
     _check_shape(r, k)
-    targets = np.asarray(M, dtype=np.int64)
-    if targets.ndim != 2 or targets.shape[0] != targets.shape[1]:
+    values = np.asarray(M)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ParameterError("expected a square matrix")
-    if targets.min() < 0 or targets.max() > k:
-        raise ParameterError("entries must lie in {0..k}")
-    return CspInstance(r=r, k=k, mode="integer", bipartite=True,
-                       m=targets.shape[0], targets=targets)
+    if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > k:
+        raise ParameterError("integer entries must lie in {0..k}")
+    m = len(values)
+    targets = np.full((2 * m, 2 * m), k + 1, dtype=np.min_scalar_type(k + 1))
+    targets[:m, m:], targets[m:, :m] = values, values.T
+    return CspInstance(r=r, k=k, mode="integer", bipartite=True, m=m, targets=targets)
 
 
-def _symmetric_view(inst: CspInstance):
-    """inst as a symmetric instance on its n_vertices vertices: the (k+1) x q x q
-    table sat[c, s, t] (ranks s and t meet target c), the n x n targets and the
-    n x n adjacency (a bipartite instance joins each side to the other)."""
-    q, n, m = inst.alphabet_size, inst.n_vertices, inst.m
+def _sat_table(inst: CspInstance) -> np.ndarray:
+    """The (k+2) x q x q table sat[c, s, t]: ranks s and t meet target c; no
+    pair meets the no-constraint target c = k + 1."""
+    q = inst.alphabet_size
     ranks = [unrank_subset(t, inst.r, inst.k) for t in range(q)]
     alphabet = SelectionMatrix(m=q, r=inst.r, k=inst.k, rows=ranks).dense().astype(np.int64)
-    inner, c = alphabet @ alphabet.T, np.arange(inst.k + 1)[:, None, None]
-    sat = (inner > 0) == (c > 0) if inst.mode == "boolean" else inner == c
-    if not inst.bipartite:
-        return sat, inst.targets, ~np.eye(n, dtype=bool)
-    targets = np.zeros((n, n), dtype=np.int64)
-    targets[:m, m:], targets[m:, :m] = inst.targets, inst.targets.T
-    side = np.arange(n) < m
-    return sat, targets, side[:, None] != side[None, :]
+    inner, c = alphabet @ alphabet.T, np.arange(inst.k + 2)[:, None, None]
+    rule = (inner > 0) == (c > 0) if inst.mode == "boolean" else inner == c
+    return rule & (c <= inst.k)
 
 
-def _evaluate(view, sigma) -> int:
-    sat, targets, adjacency = view
+def _evaluate(sat, targets, sigma) -> int:
     sigma, q = np.asarray(sigma), sat.shape[1]
-    if sigma.shape != (len(targets),) or sigma.min() < 0 or sigma.max() >= q:
+    if (sigma.dtype.kind not in "iu" or sigma.shape != (len(targets),)
+            or sigma.min() < 0 or sigma.max() >= q):
         raise ParameterError(f"assignment {sigma.tolist()} is not {len(targets)} letter "
                              f"ranks in [0, {q})")
-    return int((sat[targets, sigma[:, None], sigma] & adjacency).sum()) // 2
+    return int(sat[targets, sigma[:, None], sigma].sum()) // 2
 
 
 def evaluate(inst: CspInstance, sigma) -> int:
     """Number of satisfied edges under the assignment (ranks per vertex)."""
-    return _evaluate(_symmetric_view(inst), sigma)
+    return _evaluate(_sat_table(inst), inst.targets, sigma)
 
 
 def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
@@ -145,8 +144,8 @@ def solve_exact(inst: CspInstance, budget: int = 10 ** 7) -> Assignment:
     q, n = inst.alphabet_size, inst.n_vertices
     if q ** n > budget:
         raise BudgetExceededError(f"{q}^{n} assignments exceed budget {budget}")
-    sat, targets, adjacency = _symmetric_view(inst)
-    u, v = np.nonzero(np.triu(adjacency))
+    sat, targets = _sat_table(inst), inst.targets
+    u, v = np.nonzero(np.triu(targets <= inst.k))
     tables = sat[targets[u, v]].reshape(-1, q * q)
     best_sigma, best_value = None, -1
     step = max(1, _EXACT_BLOCK // max(1, len(u)))
@@ -164,23 +163,22 @@ def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
     """Random restarts + best-improvement single-vertex moves.
 
     A move scores the full alphabet for one vertex v from the histogram of its
-    neighbours' (target, letter) pairs: table[t, c*q + s] = sat[c, t, s], so a
-    move costs O(n + k q^2).  Ties break toward the lowest rank for determinism.
+    row's (target, letter) pairs: table[t, c*q + s] = sat[c, t, s], 0 at c = k + 1,
+    so a move costs O(n + k q^2).  Ties break toward the lowest rank for determinism.
     """
     if restarts < 1 or iters < 0:
         raise ParameterError(f"need restarts >= 1 and iters >= 0, got {restarts} and {iters}")
     q, n = inst.alphabet_size, inst.n_vertices
-    view = sat, targets, adjacency = _symmetric_view(inst)
+    sat, targets = _sat_table(inst), inst.targets
     table = sat.transpose(1, 0, 2).reshape(q, -1).astype(np.int64)
     best = None
     for restart in range(restarts):
         sigma = _rng(seed, restart).integers(0, q, size=n)
-        value = _evaluate(view, sigma)
+        value = _evaluate(sat, targets, sigma)
         for _ in range(iters):
             improved = False
             for v in range(n):
-                nb = adjacency[v]
-                scores = table @ np.bincount(targets[v, nb] * q + sigma[nb],
+                scores = table @ np.bincount(targets[v].astype(np.intp) * q + sigma,
                                              minlength=table.shape[1])
                 t = int(np.argmax(scores))
                 if scores[t] > scores[sigma[v]]:
@@ -206,12 +204,12 @@ def assignment_to_factors(inst: CspInstance, assignment: Assignment):
         U, V = (SelectionMatrix(m=inst.m, r=inst.r, k=inst.k, rows=side).dense().astype(np.int64)
                 for side in (letters[:inst.m], letters[inst.m:]))
         V = V.T  # column v holds the letter of right-hand vertex v
-        return (U, V), int(np.sum(U @ V != inst.targets))
+        return (U, V), int(np.sum(U @ V != inst.targets[:inst.m, inst.m:]))
     W = SelectionMatrix(m=inst.m, r=inst.r, k=inst.k, rows=letters)
-    dense = W.dense().astype(np.int64)
-    prod = dense @ dense.T
-    if inst.mode == "boolean":
-        prod = (prod > 0).astype(np.int64)
-    diff = prod != inst.targets
-    np.fill_diagonal(diff, False)
-    return W, int(diff.sum())
+    dense, residual = W.dense().astype(np.int64), 0
+    for lo, hi in _row_chunks(inst.m, inst.m):
+        prod, targets = dense[lo:hi] @ dense.T, inst.targets[lo:hi]
+        if inst.mode == "boolean":
+            prod = prod > 0
+        residual += int(((prod != targets) & (targets <= inst.k)).sum())
+    return W, residual

@@ -11,7 +11,7 @@ from ssbmf.csp import (Assignment, assignment_to_factors, evaluate,
                        rank_subset, reduce_asymmetric, reduce_symmetric,
                        solve_exact, solve_local, unrank_subset)
 from ssbmf.errors import BudgetExceededError
-from ssbmf.instance import SelectionMatrix, _rng
+from ssbmf.instance import GramMatrix, SelectionMatrix, _rng, _row_chunks
 
 
 def test_rank_examples():
@@ -85,7 +85,8 @@ def test_evaluate_counts_violations():
 
 def test_evaluate_rejects_out_of_range_ranks():
     _, inst = planted_instance()
-    for sigma in ((0, 1, 2, 6), (0, 1, 2, -1), (0, 1, 2)):
+    for sigma in ((0, 1, 2, 6), (0, 1, 2, -1), (0, 1, 2), (0.0, 1.0, 2.0, 3.0),
+                  (True, False, True, False)):
         with pytest.raises(ParameterError):
             evaluate(inst, sigma)
 
@@ -182,11 +183,12 @@ def _satisfies(inst, letters, neighbours, targets):
 def _solve_local_by_products(inst, restarts, iters, seed):
     """Reference for solve_local: the same restarts and moves, but each move
     scores every letter against the letters of all n vertices by a q x r by
-    r x n product of 0/1 letter rows, masked by the vertex's adjacency row."""
+    r x n product of 0/1 letter rows, masked by the vertex's constrained pairs."""
     q, n = inst.alphabet_size, inst.n_vertices
     ranks = [unrank_subset(t, inst.r, inst.k) for t in range(q)]
     alphabet = SelectionMatrix(m=q, r=inst.r, k=inst.k, rows=ranks).dense().astype(np.int64)
-    _, targets, adjacency = csp._symmetric_view(inst)
+    targets = inst.targets
+    adjacency = targets <= inst.k
     best_sigma, best_value = None, -1
     for restart in range(restarts):
         sigma = _rng(seed, restart).integers(0, q, size=n)
@@ -214,13 +216,41 @@ def _solve_local_by_products(inst, restarts, iters, seed):
     lambda seed: reduce_symmetric(gram(gen_selection_matrix(20, 8, 2, seed=seed), "integer"), 8, 2),
     lambda seed: reduce_asymmetric(
         np.random.Generator(np.random.Philox(key=seed)).integers(0, 3, size=(6, 6)), 4, 2),
-], ids=["boolean", "integer", "bipartite"])
+    # q = C(10, 3) = 120, so a move's key (target * q + rank) exceeds 255.
+    lambda seed: reduce_symmetric(gram(gen_selection_matrix(20, 10, 3, seed=seed)), 10, 3,
+                                  "boolean"),
+    lambda seed: reduce_symmetric(gram(gen_selection_matrix(20, 10, 3, seed=seed), "integer"),
+                                  10, 3),
+], ids=["boolean", "integer", "bipartite", "boolean-q120", "integer-q120"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_local_matches_product_reference(make, seed):
     inst = make(seed)
     best = solve_local(inst, restarts=4, iters=20, seed=seed)
     assert (best.sigma, best.value) == _solve_local_by_products(inst, 4, 20, seed)
     assert best.value == evaluate(inst, best.sigma)
+
+
+@pytest.mark.parametrize("m", [300, 650])
+@pytest.mark.parametrize("mode", ["boolean", "integer"])
+def test_chunked_residual_matches_dense_reference(mode, m):
+    # The residual is counted over row chunks; at these m there are several.
+    assert len(list(_row_chunks(m, m))) >= 2
+    W = gen_selection_matrix(m, 8, 2, seed=m)
+    M = gram(W, "integer")
+    inst = reduce_symmetric(M, 8, 2, mode)
+    wanted = M.counts if mode == "integer" else M.dense()
+    rng = np.random.Generator(np.random.Philox(key=m))
+    for _ in range(3):
+        sigma = tuple(int(t) for t in rng.integers(0, inst.alphabet_size, size=m))
+        letters = SelectionMatrix(m=m, r=8, k=2, rows=[unrank_subset(t, 8, 2) for t in sigma])
+        dense = letters.dense().astype(np.int64)
+        prod = dense @ dense.T
+        diff = (prod > 0 if mode == "boolean" else prod) != wanted
+        np.fill_diagonal(diff, False)
+        value = evaluate(inst, sigma)
+        _, residual = assignment_to_factors(inst, Assignment(sigma=sigma, value=value))
+        assert residual == int(diff.sum()) == 2 * (inst.n_edges - value)
+        assert residual > 0
 
 
 def test_boolean_mode_identity():
@@ -288,3 +318,12 @@ def test_reduce_rejects_bad_entries():
         reduce_asymmetric(np.array([[3, 0], [0, 3]]), 4, 2)
     with pytest.raises(ParameterError):
         reduce_asymmetric(np.zeros((2, 3)), 4, 2)
+    # Entries that are not of an integer dtype are rejected, not truncated.
+    for entries in ([[0.6, 1.9], [1.2, 0]], [[0.0, 1.0], [1.0, 0.0]],
+                    [[True, False], [False, True]]):
+        with pytest.raises(ParameterError, match="integer entries"):
+            reduce_asymmetric(np.array(entries), 4, 2)
+    M = gram(gen_selection_matrix(4, 4, 2, seed=2), "integer")
+    for counts in (M.counts + 0.4, M.counts.astype(float), M.counts > 0):
+        with pytest.raises(ParameterError, match="integer entries"):
+            reduce_symmetric(GramMatrix(m=M.m, bits=M.bits, counts=counts), 4, 2, "integer")
