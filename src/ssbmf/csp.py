@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import GramMatrix, SelectionMatrix, _check_shape, _rng, _row_chunks
+from .instance import (GramMatrix, SelectionMatrix, _check_shape, _int_array, _is_int, _rng,
+                       _row_chunks)
 
 _EXACT_BLOCK = 1 << 18  # edge-assignment pairs scored per block by solve_exact
 
@@ -79,15 +80,15 @@ def reduce_symmetric(M: GramMatrix, r: int, k: int,
         if M.counts is None:
             raise ParameterError("integer mode needs integer entries; "
                                  "regenerate with gram --arithmetic integer")
-        values = np.asarray(M.counts)
-        if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > k:
+        values = M.counts  # the GramMatrix checked it is symmetric and non-negative
+        if values.max() > k:
             raise ParameterError("integer entries must lie in {0..k}")
     elif mode == "boolean":
         values = M.dense()
+        if not np.array_equal(values, values.T):
+            raise ParameterError("symmetric reduction requires a symmetric matrix")
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    if not np.array_equal(values, values.T):
-        raise ParameterError("symmetric reduction requires a symmetric matrix")
     targets = values.astype(np.min_scalar_type(k + 1))
     np.fill_diagonal(targets, k + 1)
     return CspInstance(r=r, k=k, mode=mode, bipartite=False, m=M.m,
@@ -97,10 +98,10 @@ def reduce_symmetric(M: GramMatrix, r: int, k: int,
 def reduce_asymmetric(M, r: int, k: int) -> CspInstance:
     """Complete-bipartite instance for the two-factor problem M = U V."""
     _check_shape(r, k)
-    values = np.asarray(M)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ParameterError("expected a square matrix")
-    if values.dtype.kind not in "iu" or values.min() < 0 or values.max() > k:
+    values = _int_array(M, "entries of M")
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+        raise ParameterError(f"expected a non-empty square matrix, got shape {values.shape}")
+    if values.min() < 0 or values.max() > k:
         raise ParameterError("integer entries must lie in {0..k}")
     m = len(values)
     targets = np.full((2 * m, 2 * m), k + 1, dtype=np.min_scalar_type(k + 1))
@@ -120,9 +121,8 @@ def _sat_table(inst: CspInstance) -> np.ndarray:
 
 
 def _evaluate(sat, targets, sigma) -> int:
-    sigma, q = np.asarray(sigma), sat.shape[1]
-    if (sigma.dtype.kind not in "iu" or sigma.shape != (len(targets),)
-            or sigma.min() < 0 or sigma.max() >= q):
+    sigma, q = _int_array(sigma, "assignment ranks"), sat.shape[1]
+    if sigma.shape != (len(targets),) or sigma.min() < 0 or sigma.max() >= q:
         raise ParameterError(f"assignment {sigma.tolist()} is not {len(targets)} letter "
                              f"ranks in [0, {q})")
     return int(sat[targets, sigma[:, None], sigma].sum()) // 2
@@ -166,8 +166,9 @@ def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
     row's (target, letter) pairs: table[t, c*q + s] = sat[c, t, s], 0 at c = k + 1,
     so a move costs O(n + k q^2).  Ties break toward the lowest rank for determinism.
     """
-    if restarts < 1 or iters < 0:
-        raise ParameterError(f"need restarts >= 1 and iters >= 0, got {restarts} and {iters}")
+    if not (_is_int(restarts) and _is_int(iters)) or restarts < 1 or iters < 0:
+        raise ParameterError(f"need restarts >= 1 and iters >= 0 as integers, "
+                             f"got {restarts} and {iters}")
     q, n = inst.alphabet_size, inst.n_vertices
     sat, targets = _sat_table(inst), inst.targets
     table = sat.transpose(1, 0, 2).reshape(q, -1).astype(np.int64)

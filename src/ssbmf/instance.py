@@ -69,11 +69,22 @@ def _json_ints(obj, *keys) -> list:
     return values
 
 
-def _holds_bool(rows) -> bool:
-    """Whether a nested sequence of integer rows holds a bool, which np.array
-    would silently turn into 0 or 1 (an ndarray of integers holds none)."""
-    return not isinstance(rows, np.ndarray) and any(
-        isinstance(x, (bool, np.bool_)) for row in rows for x in row)
+def _int_array(values, what: str, noun: str = "integers") -> np.ndarray:
+    """np.asarray(values); ParameterError naming ``what`` for ragged rows, a non-integer or
+    a bool, read as 0 or 1 among ints, so a nested sequence (not an ndarray) is scanned."""
+    try:
+        out = np.asarray(values)
+    except ValueError as exc:  # ragged rows
+        raise ParameterError(f"{what} are ragged: {exc}") from None
+    ints = out.dtype.kind in "iu"
+    rows = [values] if ints and out.ndim and not isinstance(values, np.ndarray) else ()
+    for _ in range(out.ndim - 1):
+        rows = (x for row in rows for x in row)
+    if out.dtype.kind == "b" or any(isinstance(x, (bool, np.bool_)) for row in rows for x in row):
+        raise ParameterError(f"{what} hold a bool entry; bools are not {noun}")
+    if out.size and not ints:
+        raise ParameterError(f"{what} must hold {noun} of an integer dtype, got dtype {out.dtype}")
+    return out
 
 
 def _is_int(x) -> bool:
@@ -156,17 +167,9 @@ class SelectionMatrix:
 
     def __init__(self, m: int, r: int, k: int, rows):
         _check_shape(r, k, m)
-        try:
-            support = np.array(rows)
-        except ValueError as exc:  # ragged rows
-            raise ParameterError(f"rows are not {k}-subsets: {exc}") from None
+        support = _int_array(rows, "rows", "indices")
         if support.shape != (m, k):
             raise ParameterError(f"expected {m} rows of {k} indices, got shape {support.shape}")
-        if support.dtype.kind == "b" or _holds_bool(rows):
-            raise ParameterError("rows hold a bool entry; bools are not indices")
-        if support.dtype.kind not in "iu":
-            raise ParameterError(f"rows must hold indices of an integer dtype, "
-                                 f"got dtype {support.dtype}")
         support = np.sort(support, axis=1).astype(np.intp)
         bad = (support[:, 0] < 0) | (support[:, -1] >= r) | np.any(
             support[:, 1:] == support[:, :-1], axis=1)
@@ -210,7 +213,7 @@ class GramMatrix:
     ``bits`` stores the Boolean-semiring entries (supports intersect) as an
     (m, n_words(m)) array of packed words, laid out as in the module
     docstring.  ``counts``, when present, stores the integer entries
-    |S_a cap S_b|.
+    |S_a cap S_b|; the constructor checks them against ``bits``.
     """
 
     m: int
@@ -221,6 +224,14 @@ class GramMatrix:
         if self.m < 1 or np.shape(self.bits) != (self.m, n_words(self.m)):
             raise ParameterError(f"need m >= 1 and bits of shape (m, ceil(m/64)), "
                                  f"got m={self.m} and shape {np.shape(self.bits)}")
+        if self.counts is not None:
+            counts = _int_array(self.counts, "counts")
+            if (counts.shape != (self.m, self.m) or counts.min() < 0
+                    or not np.array_equal(counts, counts.T)
+                    or not np.array_equal(counts > 0, self.dense() > 0)):
+                raise ParameterError(f"counts must be symmetric, {self.m} x {self.m}, and "
+                                     "positive exactly where the bit is set, else 0")
+            object.__setattr__(self, "counts", counts)
 
     def entry(self, a: int, b: int) -> int:
         _check_entry(self.m, (a, b))
@@ -238,15 +249,14 @@ class GramMatrix:
                "hex_rows": [row[::-1].tobytes().hex()[-nibbles:]
                             for row in self.bits.view(np.uint8)]}
         if self.counts is not None:
-            obj["counts"] = np.asarray(self.counts).tolist()
+            obj["counts"] = self.counts.tolist()
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "GramMatrix":
         """Decode and check the row count, ceil(m/4) hex digits per row, the
-        unit diagonal and symmetry, zero bits at positions >= m included;
-        optional integer ``counts`` must be an m x m symmetric array of non-negative
-        integers, positive exactly where the bit is set (ParameterError)."""
+        unit diagonal and symmetry, zero bits at positions >= m included; the
+        constructor checks the optional ``counts`` (ParameterError)."""
         (m,) = _json_ints(obj, "m")
         rows = obj["hex_rows"]
         if m < 1 or not isinstance(rows, list) or len(rows) != m:
@@ -270,20 +280,9 @@ class GramMatrix:
                                      f"or set a bit at a position >= m={m}")
             if not np.diagonal(block, offset=64 * w).all():
                 raise ParameterError(f"a diagonal entry in rows {64 * w}.. is 0")
-        M = cls(m=m, bits=bits)
-        if "counts" not in obj:
-            return M
-        try:
-            counts = np.array(obj["counts"])
-        except ValueError as exc:  # ragged rows
-            raise ParameterError(f"counts is not an m x m array: {exc}") from None
-        if (counts.shape != (m, m) or counts.dtype.kind not in "iu"
-                or _holds_bool(obj["counts"]) or counts.min() < 0
-                or not np.array_equal(counts, counts.T)
-                or not np.array_equal(counts > 0, M.dense() > 0)):
-            raise ParameterError(f"counts must be a symmetric {m} x {m} array of non-negative "
-                                 "integers, positive exactly where the Boolean entry is 1")
-        return cls(m=m, bits=bits, counts=counts)
+        if "counts" in obj and obj["counts"] is None:
+            raise ParameterError("counts is null; omit it for Boolean entries only")
+        return cls(m=m, bits=bits, counts=obj.get("counts"))
 
 
 def _floyd_subsets(rng: np.random.Generator, n: int, r: int, k: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .instance import (SelectionMatrix, _check_shape, _floyd_subsets, _rng, gen_selection_matrix,
-                       split_seed)
+from .instance import (SelectionMatrix, _check_shape, _floyd_subsets, _int_array, _is_int, _rng,
+                       gen_selection_matrix, split_seed)
 
 # A 31-bit prime: products of two residues fit in int64, which keeps the
 # modular elimination fully vectorized.
@@ -130,7 +130,7 @@ def rank_report(W: SelectionMatrix, primes=()) -> RankReport:
     RANK_PRIME, which certifies a full rank; when that is not full and
     r <= 200, it is made exact by fraction-free elimination.
     """
-    primes = [int(q) for q in primes]
+    primes = _int_array(primes, "primes").tolist()
     for q in primes:
         if not 2 <= q <= 3037000499 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
             raise ParameterError(f"modulus {q} is not a prime below 2^31.5")
@@ -165,8 +165,8 @@ def wilson_interval(successes: int, trials: int):
 def singularity_experiment(m: int, r: int, k: int, trials: int,
                            seed: int = 0) -> dict:
     """Fraction of random instances with full column rank, per rank notion."""
-    if trials < 1:
-        raise ParameterError("need trials >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise ParameterError(f"need an integer trials >= 1, got {trials!r}")
     full = min(m, r)
     hits = {"f2": 0, "real": 0}
     for t in range(trials):
@@ -212,8 +212,8 @@ def anticoncentration_estimate(x, r: int, k: int, q="real", samples: int = 10000
     Reports whether the estimate stays below ENVELOPE_CONST * sqrt(r / (s k))
     for the measured non-fibre size s.
     """
-    if samples < 1:
-        raise ParameterError("need samples >= 1")
+    if not _is_int(samples) or samples < 1:
+        raise ParameterError(f"need an integer samples >= 1, got {samples!r}")
     _check_shape(r, k)
     if q != "real" and not (str(q).isdecimal() and int(q) >= 2):
         raise ParameterError(f"q must be 'real' or an integer >= 2, got {q!r}")

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from ssbmf import ParameterError
 from ssbmf.cli import main
+from ssbmf.instance import GramMatrix
 
 W_CYCLE = {"m": 4, "r": 4, "k": 2, "rows": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 G_CYCLE = {"m": 4, "hex_rows": ["b", "7", "e", "d"]}  # Boolean Gram of W_CYCLE
@@ -132,9 +134,14 @@ def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
         [[2, 1, 0]] + good[1:],                                     # ragged
         "22",
     ]
+    bits = GramMatrix.from_json(obj).bits
     for counts in malformed:
         g.write_text(json.dumps({**obj, "counts": counts}))
         assert main(csp) == 2, counts
+        with pytest.raises(ParameterError):  # built directly, not only read from a file
+            GramMatrix(m=4, bits=bits, counts=counts)
+    g.write_text(json.dumps({**obj, "counts": None}))  # null is not an absent counts
+    assert main(csp) == 2
 
 
 @pytest.mark.parametrize("files,argv", [

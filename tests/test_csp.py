@@ -167,7 +167,8 @@ def test_solve_local_deterministic():
     assert a.sigma == b.sigma and a.value == b.value
 
 
-@pytest.mark.parametrize("restarts, iters", [(0, 10), (1, -1)])
+@pytest.mark.parametrize("restarts, iters", [(0, 10), (1, -1), (1.5, 10), (True, 10), (1, 2.5),
+                                             (1, True)])
 def test_solve_local_rejects_no_restarts_or_negative_iters(restarts, iters):
     _, inst = planted_instance()
     with pytest.raises(ParameterError, match=f"got {restarts} and {iters}$"):
@@ -318,12 +319,16 @@ def test_reduce_rejects_bad_entries():
         reduce_asymmetric(np.array([[3, 0], [0, 3]]), 4, 2)
     with pytest.raises(ParameterError):
         reduce_asymmetric(np.zeros((2, 3)), 4, 2)
+    for empty in (np.zeros((0, 0), dtype=int), []):
+        with pytest.raises(ParameterError, match="non-empty square"):
+            reduce_asymmetric(empty, 4, 2)
     # Entries that are not of an integer dtype are rejected, not truncated.
     for entries in ([[0.6, 1.9], [1.2, 0]], [[0.0, 1.0], [1.0, 0.0]],
                     [[True, False], [False, True]]):
-        with pytest.raises(ParameterError, match="integer entries"):
+        with pytest.raises(ParameterError, match="^entries of M "):
             reduce_asymmetric(np.array(entries), 4, 2)
+    # Counts that are not integers are rejected when the Gram matrix is built.
     M = gram(gen_selection_matrix(4, 4, 2, seed=2), "integer")
     for counts in (M.counts + 0.4, M.counts.astype(float), M.counts > 0):
-        with pytest.raises(ParameterError, match="integer entries"):
-            reduce_symmetric(GramMatrix(m=M.m, bits=M.bits, counts=counts), 4, 2, "integer")
+        with pytest.raises(ParameterError, match="^counts "):
+            GramMatrix(m=M.m, bits=M.bits, counts=counts)

@@ -222,8 +222,9 @@ def test_singularity_experiment_shape():
     assert out["trials"] == 50
     assert 0.0 <= out["real"]["frequency"] <= 1.0
     assert out["real"]["ci_low"] <= out["real"]["frequency"] <= out["real"]["ci_high"]
-    with pytest.raises(ParameterError):
-        singularity_experiment(4, 4, 1, trials=0)
+    for trials in (0, 2.5, True):
+        with pytest.raises(ParameterError):
+            singularity_experiment(4, 4, 1, trials=trials)
 
 
 def test_krawtchouk_bound_check_small():
@@ -267,8 +268,9 @@ def test_anticoncentration_modular():
 def test_anticoncentration_validation():
     with pytest.raises(ParameterError):
         anticoncentration_estimate(np.zeros(3), 4, 2)
-    with pytest.raises(ParameterError):
-        anticoncentration_estimate(np.zeros(4), 4, 2, samples=0)
+    for samples in (0, 2.5, True):
+        with pytest.raises(ParameterError):
+            anticoncentration_estimate(np.zeros(4), 4, 2, samples=samples)
     for k in (0, 5):  # k = 0 and k = r + 1
         with pytest.raises(ParameterError, match="1 <= k <= r"):
             anticoncentration_estimate(np.zeros(4), 4, k)
