@@ -171,7 +171,7 @@ def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
                              f"got {restarts} and {iters}")
     q, n = inst.alphabet_size, inst.n_vertices
     sat, targets = _sat_table(inst), inst.targets
-    table = sat.transpose(1, 0, 2).reshape(q, -1).astype(np.int64)
+    table = sat.transpose(1, 0, 2).reshape(q, -1).astype(float)  # BLAS; exact on small ints
     best = None
     for restart in range(restarts):
         sigma = _rng(seed, restart).integers(0, q, size=n)
@@ -179,9 +179,9 @@ def solve_local(inst: CspInstance, restarts: int = 10, iters: int = 100,
         for _ in range(iters):
             improved = False
             for v in range(n):
-                scores = table @ np.bincount(targets[v].astype(np.intp) * q + sigma,
+                scores = table @ np.bincount(np.multiply(targets[v], q, dtype=np.intp) + sigma,
                                              minlength=table.shape[1])
-                t = int(np.argmax(scores))
+                t = int(scores.argmax())
                 if scores[t] > scores[sigma[v]]:
                     value += int(scores[t] - scores[sigma[v]])
                     sigma[v] = t

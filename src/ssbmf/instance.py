@@ -108,8 +108,10 @@ def _check_shape(r: int, k: int, m: int = None) -> None:
 def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
     """IndexError naming ``what`` and idx unless each index of idx is an
     integer in [0, m), where numpy would read a bool or a float as some row
-    and wrap a negative."""
+    and wrap a negative.  A plain int in range, the common index, passes first."""
     for i in idx:
+        if type(i) is int and 0 <= i < m:
+            continue
         if not _is_int(i):
             raise IndexError(f"{what} ({','.join(map(str, idx))}): {i!r} is not an integer index")
         if not 0 <= i < m:
@@ -117,10 +119,10 @@ def _check_entry(m: int, idx: tuple, what: str = "entry") -> None:
 
 
 def _bit(bits: np.ndarray, a, b) -> int:
-    """Bit b of packed row a, read with the indices as Python ints: numpy has
-    no uint64 >> int64 loop, so a numpy integer b would raise TypeError."""
-    a, b = int(a), int(b)
-    return int(bits[a, b >> 6]) >> (b & 63) & 1
+    """Bit b of packed row a, the word read and b shifted as Python ints: numpy
+    has no uint64 >> int64 loop, so a numpy integer b would raise TypeError."""
+    b = int(b)
+    return bits.item(a, b >> 6) >> (b & 63) & 1
 
 
 def _check_anchors(m: int, anchors) -> tuple:
@@ -170,10 +172,14 @@ class SelectionMatrix:
         support = _int_array(rows, "rows", "indices")
         if support.shape != (m, k):
             raise ParameterError(f"expected {m} rows of {k} indices, got shape {support.shape}")
-        support = np.sort(support, axis=1).astype(np.intp)
-        bad = (support[:, 0] < 0) | (support[:, -1] >= r) | np.any(
-            support[:, 1:] == support[:, :-1], axis=1)
-        if bad.any():
+        # Rows already increasing, as generated, skip the sort; `bad` only names the fault.
+        support, dup = support.astype(np.intp), False
+        if not (support[:, 1:] > support[:, :-1]).all():
+            support.sort(axis=1)
+            dup = (support[:, 1:] == support[:, :-1]).any()
+        if dup or support[:, 0].min() < 0 or support[:, -1].max() >= r:
+            bad = (support[:, 0] < 0) | (support[:, -1] >= r) | np.any(
+                support[:, 1:] == support[:, :-1], axis=1)
             a = int(np.argmax(bad))
             raise ParameterError(f"row {a} = {support[a].tolist()} is not a "
                                  f"{k}-subset of [0, {r})")
@@ -294,7 +300,9 @@ def _floyd_subsets(rng: np.random.Generator, n: int, r: int, k: int) -> np.ndarr
     """
     rows = rng.integers(0, np.arange(r - k + 1, r + 1), size=(n, k))
     for s in range(1, k):
-        taken = np.any(rows[:, :s] == rows[:, s, None], axis=1)
+        taken = rows[:, 0] == rows[:, s]
+        for u in range(1, s):
+            taken |= rows[:, u] == rows[:, s]
         rows[taken, s] = r - k + s
     return rows
 

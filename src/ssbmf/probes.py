@@ -59,11 +59,11 @@ class RankReport:
 
 
 def rank_f2(W: SelectionMatrix) -> int:
-    """Column rank over F2 by elimination on the r-bit row masks, each pivot
-    kept under its lowest set bit: a row meets only the pivots of the bits
-    it holds, and each XOR clears its lowest bit."""
-    pivots = {}
-    for row in np.bitwise_or.reduce(np.left_shift(1, W.support.astype(object)), axis=1).tolist():
+    """Column rank over F2 by elimination on the r-bit row masks (uint64 up to
+    r = 64, Python ints beyond), each pivot kept under its lowest set bit: a
+    row meets only the pivots of the bits it holds, and each XOR clears its lowest bit."""
+    pivots, dtype = {}, np.uint64 if W.r <= 64 else object
+    for row in np.bitwise_or.reduce(np.left_shift(1, W.support.astype(dtype)), axis=1).tolist():
         while row:
             low = row & -row
             if low not in pivots:
@@ -130,7 +130,10 @@ def rank_report(W: SelectionMatrix, primes=()) -> RankReport:
     RANK_PRIME, which certifies a full rank; when that is not full and
     r <= 200, it is made exact by fraction-free elimination.
     """
-    primes = _int_array(primes, "primes").tolist()
+    primes = _int_array(primes, "primes")
+    if primes.ndim != 1:
+        raise ParameterError(f"primes must be a 1-D sequence of moduli, got shape {primes.shape}")
+    primes = primes.tolist()
     for q in primes:
         if not 2 <= q <= 3037000499 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
             raise ParameterError(f"modulus {q} is not a prime below 2^31.5")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -38,6 +39,19 @@ def test_generation_deterministic():
     W1 = gen_selection_matrix(5, 4, 2, seed=1)
     W2 = gen_selection_matrix(5, 4, 2, seed=1)
     assert W1.rows == W2.rows
+
+
+@pytest.mark.parametrize("m, r, k, seed, digest", [
+    (13302, 16, 3, 0, "395c180fc7446d802a6677eda27f1cea566f9e96fa9b6733c32d66e1ade03c50"),
+    (3500, 7, 4, 8, "a07df2193178ec202d4b76fed6a71e51eb83735d37168150b3d77477e10ccd63"),
+    (5, 4, 4, 1, "8ca9ce37921e70f22d9ca6ceb1e43d3ecab3a35e230f05d29c5f1a52036fb72b"),
+    (50, 10, 1, 3, "b415561886a9a14211614e48aaef15454e5568d50a701269c3939a29f67d1636"),
+    (100, 80, 3, 2, "69f6a050c51de78302495276d7507032b40d8d1b67dd53cd3d2fe95389ea2a43"),
+], ids=["readme", "every-floyd-step", "k-eq-r", "k1", "r-above-64"])
+def test_generated_supports_are_pinned(m, r, k, seed, digest):
+    # SHA-256 of the little-endian int64 supports: `ssbmf gen` writes the same rows forever.
+    support = gen_selection_matrix(m, r, k, seed).support
+    assert hashlib.sha256(support.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_generation_uniform_chi_square():
@@ -163,6 +177,7 @@ def test_dense_and_gram_at_edges(m, r, k):
     [[0, None]],
     [[[0, 1]]],          # nested one level too deep
     [[0, 2 ** 64]],      # beyond every integer dtype
+    np.array([[0, 2 ** 64 - 1]], dtype=np.uint64),  # beyond intp: read as -1, not as an index
 ])
 def test_selection_matrix_rejects_bad_rows(rows):
     with pytest.raises(ParameterError):
@@ -189,6 +204,29 @@ def test_selection_matrix_support_is_sorted_and_read_only():
     W = SelectionMatrix(m=2, r=5, k=3, rows=[(4, 0, 2), (1, 3, 2)])
     assert W.rows == ((0, 2, 4), (1, 2, 3))
     assert W.support.shape == (2, 3) and not W.support.flags.writeable
+
+
+def test_selection_matrix_shuffled_and_increasing_rows_give_the_same_support():
+    W = gen_selection_matrix(200, 30, 5, seed=3)
+    shuffled = np.random.default_rng(0).permuted(W.support, axis=1)
+    assert not np.array_equal(shuffled, W.support)
+    increasing = W.support.copy()
+    for rows in (increasing, shuffled, shuffled.tolist(), increasing.astype(np.uint8)):
+        V = SelectionMatrix(m=200, r=30, k=5, rows=rows)
+        assert V.support.dtype == np.intp and np.array_equal(V.support, W.support)
+    # The increasing rows skip the sort but are still copied, not frozen in place.
+    V = SelectionMatrix(m=200, r=30, k=5, rows=increasing)
+    assert not np.shares_memory(V.support, increasing) and increasing.flags.writeable
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [2, 2], [1, 3], [0, 4]], "row 1 = [2, 2] is not a 2-subset of [0, 4)"),
+    ([[0, 1], [3, 2], [1, 3], [2, 2]], "row 3 = [2, 2] is not a 2-subset of [0, 4)"),
+    ([[0, 1], [4, 0], [1, 3], [3, 3]], "row 1 = [0, 4] is not a 2-subset of [0, 4)"),
+], ids=["duplicate-then-too-large", "unsorted-then-duplicate", "too-large-then-duplicate"])
+def test_selection_matrix_names_the_lowest_faulty_row(rows, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        SelectionMatrix(m=len(rows), r=4, k=2, rows=rows)
 
 
 def test_gram_boolean_example():

@@ -112,6 +112,20 @@ def test_rank_f2_matches_the_dense_reference_and_the_mod2_rank(W):
     assert rank_report(W, primes=[2]).rank_modq[2] == rank_f2(W)
 
 
+@pytest.mark.parametrize("r", [8, 63, 64, 65, 80])
+def test_rank_f2_equals_the_rank_mod_2_on_both_sides_of_a_64_bit_mask(r):
+    # Up to r = 64 the row masks are uint64 words, beyond it Python ints.
+    full = gen_selection_matrix(2 * r, r, 3, seed=r)
+    # Rank-deficient: column 0 is held by no row, every row is duplicated,
+    # and the last row holds the top bit r - 1.
+    half = gen_selection_matrix(r // 2, r - 1, 3, seed=r).support + 1
+    deficient = SelectionMatrix(m=2 * (r // 2) + 1, r=r, k=3,
+                                rows=np.vstack([half, half, [[1, 2, r - 1]]]))
+    for W in (full, deficient):
+        assert rank_f2(W) == rank_modp(W.dense(), 2)
+    assert rank_f2(deficient) < r
+
+
 def test_rank_modp_and_exact_agree_with_numpy():
     rng = np.random.Generator(np.random.Philox(key=3))
     for _ in range(10):
@@ -283,6 +297,15 @@ def test_rank_report_rejects_moduli_that_are_not_primes_below_the_bound(q):
     W = gen_selection_matrix(20, 6, 2, seed=1)
     with pytest.raises(ParameterError, match="not a prime"):
         rank_report(W, primes=[3, q])
+
+
+@pytest.mark.parametrize("primes", [3, np.int64(3), [[3]]], ids=["int", "int64", "nested"])
+def test_rank_report_requires_a_one_dimensional_primes(primes):
+    W = gen_selection_matrix(20, 6, 2, seed=1)
+    with pytest.raises(ParameterError, match="^primes must be a 1-D sequence"):
+        rank_report(W, primes=primes)
+    # The empty default stays valid, as a tuple or a list.
+    assert rank_report(W).rank_modq == rank_report(W, primes=[]).rank_modq == {}
 
 
 def test_rank_report_accepts_the_largest_prime_below_the_bound():
