@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssbmf import (ParameterError, RecoverConfig, SelectionMatrix, factorization_error,
@@ -15,7 +16,7 @@ from ssbmf import (ParameterError, RecoverConfig, SelectionMatrix, factorization
 from ssbmf.csp import reduce_asymmetric, reduce_symmetric
 from ssbmf.probes import anticoncentration_estimate, f2_zero_probability
 from ssbmf.cli import main
-from ssbmf.instance import GramMatrix, _row_chunks, n_words
+from ssbmf.instance import GramMatrix, _gram_rows
 from ssbmf.mu import invert_fraction, union_block, zero_counts
 
 
@@ -358,15 +359,39 @@ def test_gram_hex_roundtrip():
     assert int(obj["hex_rows"][0], 16) >> 0 & 1 == M.entry(0, 0)
 
 
+@st.composite
+def _gram_shapes(draw):
+    r = draw(st.integers(min_value=2, max_value=10))
+    k = draw(st.integers(min_value=1, max_value=r))
+    # m <= 12 takes the per-position Gram kernel unless k = r, and m = 8 C(r, k)
+    # is the least m of the table kernel.
+    m = draw(st.integers(min_value=1, max_value=12) | st.just(8 * math.comb(r, k)))
+    return r, k, m
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32), st.data())
-def test_gram_roundtrip_property(seed, data):
-    r = data.draw(st.integers(min_value=2, max_value=10))
-    k = data.draw(st.integers(min_value=1, max_value=r))
-    m = data.draw(st.integers(min_value=1, max_value=12))
+@given(st.integers(min_value=0, max_value=2 ** 32), _gram_shapes(), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)), min_size=1, max_size=4))
+@example(seed=0, shape=(5, 5, 10), missing=False, flips=[(0, 1)])  # k = r: C(r, k) = 1
+@example(seed=1, shape=(6, 1, 50), missing=False, flips=[(3, 3), (2, 49)])  # k = 1
+@example(seed=2, shape=(10, 5, 2016), missing=False, flips=[(2015, 0), (64, 63)])  # m = 8 C(r, k)
+@example(seed=3, shape=(8, 3, 448), missing=True, flips=[(5, 447)])  # supports missing
+def test_gram_roundtrip_property(seed, shape, missing, flips):
+    r, k, m = shape
     W = gen_selection_matrix(m, r, k, seed=seed)
+    if missing and k < r:  # no row holds column r - 1, so the supports holding it are missing
+        W = SelectionMatrix(m=m, r=r, k=k, rows=gen_selection_matrix(m, r - 1, k, seed=seed).support)
+    dense = W.dense().astype(np.int32)
+    want = dense @ dense.T > 0
     M = gram(W)
+    assert np.array_equal(M.dense(), want)
     assert factorization_error(M, W) == 0
+    bits = M.bits.copy()
+    for a, b in flips:
+        a, b = a % m, b % m
+        bits[a, b // 64] ^= np.uint64(1 << (b % 64))
+    bad = GramMatrix(m=m, bits=bits)
+    assert factorization_error(bad, W) == int((bad.dense() != want).sum())
     assert np.array_equal(GramMatrix.from_json(M.to_json()).bits, M.bits)
     assert SelectionMatrix.from_json(W.to_json()).rows == W.rows
 
@@ -374,8 +399,10 @@ def test_gram_roundtrip_property(seed, data):
 @pytest.mark.parametrize("m, k", [(3000, 1), (2100, 2), (1800, 3)])
 def test_gram_rows_cross_chunk_boundaries(m, k):
     # Sizes where the Gram-row kernel runs at least three chunks, so the chunk
-    # loop and factorization_error's skip of an all-zero chunk are both reached.
-    chunks = list(_row_chunks(m, k * n_words(m)))
+    # loop and factorization_error's skip of an all-zero chunk are both reached:
+    # k = 1 and k = 2 on the table kernel, k = 3 on the per-position one.
+    W = gen_selection_matrix(m, 16, k, seed=m)
+    chunks = [(lo, hi) for lo, hi, _ in _gram_rows(W)]
     assert len(chunks) >= 3
     (_, boundary), (middle, _), (last, _) = chunks[0], chunks[1], chunks[-1]
 
@@ -389,7 +416,6 @@ def test_gram_rows_cross_chunk_boundaries(m, k):
             bits[a, b // 64] ^= np.uint64(1 << (b % 64))
         return GramMatrix(m=M.m, bits=bits)
 
-    W = gen_selection_matrix(m, 16, k, seed=m)
     want = dense_gram(W)
     M = gram(W)
     assert np.array_equal(M.dense(), want)

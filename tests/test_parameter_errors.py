@@ -25,6 +25,12 @@ def _asymmetric_bits():
     return GramMatrix(m=W.m, bits=bits)
 
 
+def _padding_bit():
+    bits = gram(W).bits.copy()
+    bits[0, 0] |= 1 << W.m  # entry (0, 5) of a 5 x 5 matrix, the first padding bit
+    return GramMatrix(m=W.m, bits=bits)
+
+
 CASES = {
     "integer entry beyond k": (lambda: reduce_symmetric(gram(W, "integer"), 4, 1),
                                "integer entries must lie in {0..k}"),
@@ -36,6 +42,7 @@ CASES = {
     "asymmetric Boolean entries": (lambda: reduce_symmetric(_asymmetric_bits(), 4, 2, "boolean"),
                                    "symmetric reduction requires a symmetric matrix"),
     "unknown arithmetic": (lambda: gram(W, "real"), "unknown arithmetic 'real'"),
+    "Boolean bit beyond m": (_padding_bit, "bits set a bit at a position >= m=5"),
     "r beyond the tensor": (
         lambda: jennrich_decompose(oracle_tensor(gen_selection_matrix(4, 6, 2, seed=0),
                                                  materialize=True), 6),
