@@ -319,12 +319,22 @@ def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
     return SelectionMatrix(m=m, r=r, k=k, rows=_floyd_subsets(_rng(seed, 0x5e1ec7), m, r, k))
 
 
+def _uses_table(m: int, r: int, k: int) -> bool:
+    """Whether _gram_rows builds one row per distinct support: m + k C(r, k)
+    row gathers in place of m k, plus a rank set-up of tens of us.  At these
+    bounds the table took 0.66-1.00 of the per-position verify time (r <= 40,
+    2 <= k <= 8), and up to 1.46 times it at k = 2 below 16 C(r, k) rows or
+    below 1024 rows; at k = 1 it saves no gather.  Only C(r, k) is computed,
+    so a large r builds no lookup."""
+    return m >= 1024 and (k - 1) * m >= 16 * math.comb(r, k)
+
+
 def _gram_rows(W: SelectionMatrix):
     """Packed Boolean Gram rows of W in chunks: yields (lo, hi, rows lo..hi-1),
     a fresh array the caller may overwrite.
 
     Row a is the OR of the packed column masks of a's support.  When supports
-    repeat (8 C(r, k) <= m), each support's row is built once into a table
+    repeat enough (_uses_table), each support's row is built once into a table
     indexed by its colex rank sum_t C(s_t, t+1), and a chunk is one gather
     from it.  Otherwise a chunk costs k gathers, OR-ed in place.
     """
@@ -337,15 +347,21 @@ def _gram_rows(W: SelectionMatrix):
             rows |= cols[support[:, t]]
         return rows
 
-    q = math.comb(W.r, k)  # before any lookup, so a large r builds none
-    if 8 * q > m:
+    if not _uses_table(m, W.r, k):
         # Chunk by k rows' words, not one row's: the k times larger chunks made
         # the README factorization_error on this path take 15-22 ms against 8.1-8.4 ms.
         for lo, hi in _row_chunks(m, k * n_words(m)):
             yield lo, hi, rows_of(W.support[lo:hi])
         return
-    binom = np.array([[math.comb(s, t + 1) for t in range(k)] for s in range(W.r)], np.intp)
-    rank = binom[W.support, np.arange(k)].sum(axis=1)
+    # binom[s] = C(s, t+1) = sum_{u<s} C(u, t), clipped at q so it fits intp:
+    # each term of a sorted support's rank is at most the rank < q, so none
+    # that is read was clipped.
+    q = math.comb(W.r, k)
+    binom = np.arange(W.r)
+    rank = binom[W.support[:, 0]]
+    for t in range(1, k):
+        binom = np.minimum(np.cumsum(binom) - binom, q)
+        rank += binom[W.support[:, t]]
     # Any row of a rank holds its support; ranks no row has keep row 0's.
     holder = np.zeros(q, np.intp)
     holder[rank] = np.arange(m)

@@ -16,7 +16,7 @@ from ssbmf import (ParameterError, RecoverConfig, SelectionMatrix, factorization
 from ssbmf.csp import reduce_asymmetric, reduce_symmetric
 from ssbmf.probes import anticoncentration_estimate, f2_zero_probability
 from ssbmf.cli import main
-from ssbmf.instance import GramMatrix, _gram_rows
+from ssbmf.instance import GramMatrix, _gram_rows, _uses_table
 from ssbmf.mu import invert_fraction, union_block, zero_counts
 
 
@@ -359,23 +359,33 @@ def test_gram_hex_roundtrip():
     assert int(obj["hex_rows"][0], 16) >> 0 & 1 == M.entry(0, 0)
 
 
+def _least_table_m(r, k):
+    """The least m at which _gram_rows gathers from its table of distinct supports."""
+    m = max(1024, -(-16 * math.comb(r, k) // (k - 1)))
+    assert _uses_table(m, r, k) and not _uses_table(m - 1, r, k)
+    return m
+
+
 @st.composite
 def _gram_shapes(draw):
     r = draw(st.integers(min_value=2, max_value=10))
     k = draw(st.integers(min_value=1, max_value=r))
-    # m <= 12 takes the per-position Gram kernel unless k = r, and m = 8 C(r, k)
-    # is the least m of the table kernel.
-    m = draw(st.integers(min_value=1, max_value=12) | st.just(8 * math.comb(r, k)))
+    # m <= 12 takes the per-position Gram kernel, and so does every m at k = 1.
+    sizes = st.integers(min_value=1, max_value=12)
+    m = draw(sizes | st.just(_least_table_m(r, k)) if k > 1 else sizes)
     return r, k, m
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32), _gram_shapes(), st.booleans(),
        st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)), min_size=1, max_size=4))
-@example(seed=0, shape=(5, 5, 10), missing=False, flips=[(0, 1)])  # k = r: C(r, k) = 1
+# At r >= 68 some C(s, t + 1) pass 2**63, at s < r and t < k that no sorted support reads.
+@example(seed=0, shape=(70, 70, 1024), missing=False, flips=[(0, 1)])  # k = r: C(r, k) = 1
+@example(seed=4, shape=(80, 79, 1280), missing=False, flips=[(7, 1279), (640, 2)])
+@example(seed=5, shape=(68, 66, 1024), missing=True, flips=[(1000, 1000)])
 @example(seed=1, shape=(6, 1, 50), missing=False, flips=[(3, 3), (2, 49)])  # k = 1
-@example(seed=2, shape=(10, 5, 2016), missing=False, flips=[(2015, 0), (64, 63)])  # m = 8 C(r, k)
-@example(seed=3, shape=(8, 3, 448), missing=True, flips=[(5, 447)])  # supports missing
+@example(seed=2, shape=(10, 4, 1120), missing=False, flips=[(1119, 0), (64, 63)])  # least table m
+@example(seed=3, shape=(8, 3, 1024), missing=True, flips=[(5, 1023)])  # supports missing
 def test_gram_roundtrip_property(seed, shape, missing, flips):
     r, k, m = shape
     W = gen_selection_matrix(m, r, k, seed=seed)
@@ -400,7 +410,8 @@ def test_gram_roundtrip_property(seed, shape, missing, flips):
 def test_gram_rows_cross_chunk_boundaries(m, k):
     # Sizes where the Gram-row kernel runs at least three chunks, so the chunk
     # loop and factorization_error's skip of an all-zero chunk are both reached:
-    # k = 1 and k = 2 on the table kernel, k = 3 on the per-position one.
+    # k = 2 on the table kernel, k = 1 and k = 3 on the per-position one.
+    assert _uses_table(m, 16, k) == (k == 2)
     W = gen_selection_matrix(m, 16, k, seed=m)
     chunks = [(lo, hi) for lo, hi, _ in _gram_rows(W)]
     assert len(chunks) >= 3
