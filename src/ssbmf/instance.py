@@ -8,8 +8,12 @@ hypergraph's line graph plus self-loops.
 
 Bit conventions used throughout the package:
   - a selection matrix is an (m, k) array of sorted column indices;
-  - a Gram matrix is an (m, ceil(m/64)) array of little-endian uint64 words,
-    entry (a, j) = bit j % 64 of word j // 64 of row a, zero at j >= m.
+  - a Gram row is ceil(m/64) little-endian uint64 words, entry (a, j) =
+    bit j % 64 of word j // 64 of row a, zero at j >= m;
+  - a Gram matrix stores each distinct row once: an (n, ceil(m/64)) array
+    of rows and a row index, row a being rows[index[a]] (index=None when
+    all m rows are stored in order).  When supports repeat, n is at most
+    C(r, k), the number of distinct supports.
 With zero padding, the columns that are zero in a set of Gram rows number
 m - popcount(OR of the rows); all mu-kernels use this.
 """
@@ -217,48 +221,80 @@ class SelectionMatrix:
 class GramMatrix:
     """m x m Gram matrix of a selection matrix.
 
-    ``bits`` stores the Boolean-semiring entries (supports intersect) as an
-    (m, n_words(m)) array of packed words, laid out as in the module
-    docstring; the constructor rejects a set bit at a position >= m.
-    ``counts``, when present, stores the integer entries |S_a cap S_b|; the
-    constructor checks them against ``bits``.
+    The Boolean-semiring entries (supports intersect) are stored once per
+    distinct row: ``rows`` is an (n, n_words(m)) array of packed words, laid
+    out as in the module docstring, and row a of M is rows[index[a]];
+    ``index=None`` means rows holds all m rows in order.  The constructor
+    rejects a set bit at a position >= m.  ``counts``, when present, stores
+    the integer entries |S_a cap S_b|; the constructor checks them against
+    the bits.
     """
 
     m: int
-    bits: np.ndarray  # (m, n_words(m)) little-endian uint64, zero at bits >= m
+    rows: np.ndarray  # (n, n_words(m)) little-endian uint64, zero at bits >= m
+    index: np.ndarray = None  # optional (m,) positions in [0, n); None: row a is rows[a]
     counts: np.ndarray = None  # optional (m, m) small ints
 
     def __post_init__(self):
-        if self.m < 1 or np.shape(self.bits) != (self.m, n_words(self.m)):
-            raise ParameterError(f"need m >= 1 and bits of shape (m, ceil(m/64)), "
-                                 f"got m={self.m} and shape {np.shape(self.bits)}")
+        m, rows = self.m, self.rows
+        if not (_is_int(m) and m >= 1):
+            raise ParameterError(f"need an integer m >= 1, got m={m!r} and shape {np.shape(rows)}")
+        m = int(m)  # a numpy m would make the padding shift below a uint64 >> int64
+        object.__setattr__(self, "m", m)
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == n_words(m)
+                and (len(rows) == m if self.index is None else len(rows) >= 1)):
+            raise ParameterError(f"need rows of shape ({'m' if self.index is None else 'n >= 1'}, "
+                                 f"ceil(m/64)), got m={m} and shape {np.shape(rows)}")
+        if rows.dtype != _WORD:
+            raise ParameterError(f"rows must hold little-endian uint64 words, got dtype {rows.dtype}")
+        if self.index is not None:
+            index = _int_array(self.index, "index", "row positions")
+            if index.shape != (m,) or index.min() < 0 or index.max() >= len(rows):
+                raise ParameterError(f"index must hold m={m} row positions in [0, {len(rows)}), "
+                                     f"got shape {index.shape}")
+            object.__setattr__(self, "index", index.astype(np.intp, copy=False))
         # Every mu-kernel counts zero columns as m - popcount, so padding must be 0.
-        if self.m % 64 and np.any(self.bits[:, -1] >> self.m % 64):
-            raise ParameterError(f"bits set a bit at a position >= m={self.m}")
+        if m % 64 and np.any(rows[:, -1] >> m % 64):
+            raise ParameterError(f"rows set a bit at a position >= m={m}")
         if self.counts is not None:
             counts = _int_array(self.counts, "counts")
-            if (counts.shape != (self.m, self.m) or counts.min() < 0
+            if (counts.shape != (m, m) or counts.min() < 0
                     or not np.array_equal(counts, counts.T)
                     or not np.array_equal(counts > 0, self.dense() > 0)):
-                raise ParameterError(f"counts must be symmetric, {self.m} x {self.m}, and "
+                raise ParameterError(f"counts must be symmetric, {m} x {m}, and "
                                      "positive exactly where the bit is set, else 0")
             object.__setattr__(self, "counts", counts)
 
+    def _slots(self, rows):
+        """Positions in ``rows`` of the given rows of M (an index, slice or index array)."""
+        return rows if self.index is None else self.index[rows]
+
+    def _words(self, rows) -> np.ndarray:
+        """Packed words of the given rows of M, read through the index."""
+        return self.rows[self._slots(rows)]
+
+    @property
+    def bits(self) -> np.ndarray:
+        """All m packed rows as one (m, n_words(m)) array (derived; built from
+        rows and index when rows repeat)."""
+        return self._words(slice(None))
+
     def entry(self, a: int, b: int) -> int:
         _check_entry(self.m, (a, b))
-        return _bit(self.bits, a, b)
+        return _bit(self.rows, self._slots(a), b)
 
     def dense(self, rows=None) -> np.ndarray:
         """Boolean entries as a 0/1 array of shape (m, m), or of the given rows only."""
-        return _unpack(self.bits if rows is None else self.bits[rows], self.m)
+        return _unpack(self._words(slice(None) if rows is None else rows), self.m)
 
     def to_json(self) -> dict:
-        # Big-endian hex per row: reverse the little-endian bytes, then drop
-        # the leading nibbles, which hold only zero padding.
+        # Big-endian hex per stored row: reverse the little-endian bytes, then
+        # drop the leading nibbles, which hold only zero padding.
         nibbles = (self.m + 3) // 4
-        obj = {"m": self.m,
-               "hex_rows": [row[::-1].tobytes().hex()[-nibbles:]
-                            for row in self.bits.view(np.uint8)]}
+        hex_rows = [row[::-1].tobytes().hex()[-nibbles:] for row in self.rows.view(np.uint8)]
+        if self.index is not None:
+            hex_rows = [hex_rows[i] for i in self.index.tolist()]
+        obj = {"m": self.m, "hex_rows": hex_rows}
         if self.counts is not None:
             obj["counts"] = self.counts.tolist()
         return obj
@@ -267,33 +303,41 @@ class GramMatrix:
     def from_json(cls, obj: dict) -> "GramMatrix":
         """Decode and check the row count, ceil(m/4) hex digits per row, the
         unit diagonal and symmetry, zero bits at positions >= m included; the
-        constructor checks the optional ``counts`` (ParameterError)."""
+        constructor checks the optional ``counts`` (ParameterError).  Each
+        distinct hex row is decoded and stored once, in first-occurrence order."""
         (m,) = _json_ints(obj, "m")
-        rows = obj["hex_rows"]
-        if m < 1 or not isinstance(rows, list) or len(rows) != m:
+        hex_rows = obj["hex_rows"]
+        if m < 1 or not isinstance(hex_rows, list) or len(hex_rows) != m:
             raise ParameterError(f"expected a list of m={m} >= 1 hex rows")
         nibbles, width = (m + 3) // 4, 16 * n_words(m)
-        bits = np.zeros((m, n_words(m)), dtype=_WORD)
-        raw = bits.view(np.uint8)
-        for a, row in enumerate(rows):
-            try:  # fromhex rejects non-hex digits; ASCII whitespace it skips leaves data short
-                data = bytes.fromhex(row.rjust(width, "0")) if len(row) == nibbles else b""
-            except (AttributeError, TypeError, ValueError):  # not a string, or not hex
-                data = b""
-            if len(data) != width // 2:
-                raise ParameterError(f"hex row {a} is not {nibbles} hex digits")
-            raw[a] = np.frombuffer(data[::-1], np.uint8)
+        slot, decoded, index = {}, [], []
+        for a, row in enumerate(hex_rows):
+            s = slot.get(row) if isinstance(row, str) else None
+            if s is None:
+                try:  # fromhex rejects non-hex digits; ASCII whitespace it skips leaves data short
+                    data = bytes.fromhex(row.rjust(width, "0")) if len(row) == nibbles else b""
+                except (AttributeError, TypeError, ValueError):  # not a string, or not hex
+                    data = b""
+                if len(data) != width // 2:
+                    raise ParameterError(f"hex row {a} is not {nibbles} hex digits")
+                s = slot[row] = len(decoded)
+                decoded.append(data[::-1])
+            index.append(s)
+        rows = np.frombuffer(b"".join(decoded), _WORD).reshape(len(decoded), n_words(m))
+        index = np.array(index, dtype=np.intp)
         for w in range(n_words(m)):
             # Rows 64w.. transposed equal word w of all rows, padding bits included.
-            block = _unpack(bits[64 * w: 64 * w + 64], m)
-            if not np.array_equal(_pack(block.T), bits[:, w: w + 1]):
+            block = _unpack(rows[index[64 * w: 64 * w + 64]], m)
+            if not np.array_equal(_pack(block.T), rows[index, w: w + 1]):
                 raise ParameterError(f"rows {64 * w}..{64 * w + 63} are not symmetric "
                                      f"or set a bit at a position >= m={m}")
             if not np.diagonal(block, offset=64 * w).all():
                 raise ParameterError(f"a diagonal entry in rows {64 * w}.. is 0")
         if "counts" in obj and obj["counts"] is None:
             raise ParameterError("counts is null; omit it for Boolean entries only")
-        return cls(m=m, bits=bits, counts=obj.get("counts"))
+        # With every row distinct, first-occurrence order is row order.
+        return cls(m=m, rows=rows, index=None if len(rows) == m else index,
+                   counts=obj.get("counts"))
 
 
 def _floyd_subsets(rng: np.random.Generator, n: int, r: int, k: int) -> np.ndarray:
@@ -320,39 +364,48 @@ def gen_selection_matrix(m: int, r: int, k: int, seed: int) -> SelectionMatrix:
 
 
 def _uses_table(m: int, r: int, k: int) -> bool:
-    """Whether _gram_rows builds one row per distinct support: m + k C(r, k)
-    row gathers in place of m k, plus a rank set-up of tens of us.  At these
-    bounds the table took 0.66-1.00 of the per-position verify time (r <= 40,
-    2 <= k <= 8), and up to 1.46 times it at k = 2 below 16 C(r, k) rows or
-    below 1024 rows; at k = 1 it saves no gather.  Only C(r, k) is computed,
-    so a large r builds no lookup."""
+    """Whether gram(W) stores one row per distinct support (_gram_table), and
+    factorization_error compares distinct row pairs: k C(r, k) row gathers
+    in place of m k, plus a rank set-up of tens of us.  At these bounds a
+    verify that gathered every row from the table took 0.66-1.00 of the
+    per-position time (r <= 40, 2 <= k <= 8), and up to 1.46 times it at
+    k = 2 below 16 C(r, k) rows or below 1024 rows; at k = 1 it saves no
+    gather.  Only C(r, k) is computed, so a large r builds no lookup."""
     return m >= 1024 and (k - 1) * m >= 16 * math.comb(r, k)
 
 
-def _gram_rows(W: SelectionMatrix):
-    """Packed Boolean Gram rows of W in chunks: yields (lo, hi, rows lo..hi-1),
-    a fresh array the caller may overwrite.
-
-    Row a is the OR of the packed column masks of a's support.  When supports
-    repeat enough (_uses_table), each support's row is built once into a table
-    indexed by its colex rank sum_t C(s_t, t+1), and a chunk is one gather
-    from it.  Otherwise a chunk costs k gathers, OR-ed in place.
-    """
-    m, k = W.m, W.k
-    cols = _pack(W.dense().T)
+def _support_rows(W: SelectionMatrix):
+    """rows_of(supports): packed Boolean Gram rows of W for the given supports,
+    each the OR of the packed column masks of the support, in a fresh array."""
+    flags = np.zeros((W.r, W.m), dtype=np.int8)  # W.dense().T, without the transposed copy
+    flags[W.support.T, np.arange(W.m)] = 1
+    cols = _pack(flags)
 
     def rows_of(support):
         rows = cols[support[:, 0]]
-        for t in range(1, k):
+        for t in range(1, W.k):
             rows |= cols[support[:, t]]
         return rows
 
-    if not _uses_table(m, W.r, k):
-        # Chunk by k rows' words, not one row's: the k times larger chunks made
-        # the README factorization_error on this path take 15-22 ms against 8.1-8.4 ms.
-        for lo, hi in _row_chunks(m, k * n_words(m)):
-            yield lo, hi, rows_of(W.support[lo:hi])
-        return
+    return rows_of
+
+
+def _gram_rows(W: SelectionMatrix):
+    """Packed Boolean Gram rows of W position by position, in chunks: yields
+    (lo, hi, rows lo..hi-1), a fresh array the caller may overwrite.  A chunk
+    costs k gathers, OR-ed in place."""
+    rows_of = _support_rows(W)
+    # Chunk by k rows' words, not one row's: the k times larger chunks made
+    # the README factorization_error on this path take 15-22 ms against 8.1-8.4 ms.
+    for lo, hi in _row_chunks(W.m, W.k * n_words(W.m)):
+        yield lo, hi, rows_of(W.support[lo:hi])
+
+
+def _gram_table(W: SelectionMatrix):
+    """(table, rank): the packed Boolean Gram row of each of the C(r, k)
+    supports, by colex rank sum_t C(s_t, t+1), and the rank of each row of W,
+    so that row a of gram(W) is table[rank[a]]."""
+    k = W.k
     # binom[s] = C(s, t+1) = sum_{u<s} C(u, t), clipped at q so it fits intp:
     # each term of a sorted support's rank is at most the rank < q, so none
     # that is read was clipped.
@@ -364,43 +417,62 @@ def _gram_rows(W: SelectionMatrix):
         rank += binom[W.support[:, t]]
     # Any row of a rank holds its support; ranks no row has keep row 0's.
     holder = np.zeros(q, np.intp)
-    holder[rank] = np.arange(m)
-    table = rows_of(W.support[holder])
-    # Chunks of 4 rows' words: chunks of one row's words made the README
-    # factorization_error take 5.2 ms against 4.5 ms.
-    for lo, hi in _row_chunks(m, 4 * n_words(m)):
-        yield lo, hi, table[rank[lo:hi]]
+    holder[rank] = np.arange(W.m)
+    return _support_rows(W)(W.support[holder]), rank
 
 
 def gram(W: SelectionMatrix, arithmetic: str = "boolean") -> GramMatrix:
-    """Gram matrix of W: Boolean (supports intersect) or integer (|S_a cap S_b|)."""
+    """Gram matrix of W: Boolean (supports intersect) or integer (|S_a cap S_b|).
+
+    When supports repeat enough (_uses_table), the Boolean rows are stored as
+    the _gram_table of W, indexed by rank, and no m x n_words(m) array is
+    built; otherwise as m rows built chunk by chunk (_gram_rows).
+    """
     if arithmetic not in ("boolean", "integer"):
         raise ParameterError(f"unknown arithmetic {arithmetic!r}")
-    bits = np.empty((W.m, n_words(W.m)), dtype=_WORD)
-    for lo, hi, rows in _gram_rows(W):
-        bits[lo:hi] = rows
+    if _uses_table(W.m, W.r, W.k):
+        rows, index = _gram_table(W)
+    else:
+        rows, index = np.empty((W.m, n_words(W.m)), dtype=_WORD), None
+        for lo, hi, chunk in _gram_rows(W):
+            rows[lo:hi] = chunk
     counts = None
     if arithmetic == "integer":
         dense = W.dense().astype(np.int32)
         counts = dense @ dense.T
-    return GramMatrix(m=W.m, bits=bits, counts=counts)
+    return GramMatrix(m=W.m, rows=rows, index=index, counts=counts)
 
 
 def factorization_error(M: GramMatrix, W: SelectionMatrix) -> int:
     """Number of Boolean entries where M differs from gram(W).
 
-    Symmetric disagreements are double-counted (full-matrix L0).  gram(W) is
-    compared chunk by chunk from _gram_rows and never held whole (only its
-    rows of the distinct supports, when supports repeat); a chunk is
-    popcounted only when its XOR with M has a nonzero word.
+    Symmetric disagreements are double-counted (full-matrix L0).  When
+    supports repeat (_uses_table), each distinct pair (stored row of M, rank
+    of W's support) is compared once against W's _gram_table and weighted by
+    the number of rows that share it.  Otherwise gram(W) is compared chunk by
+    chunk from _gram_rows and never held whole.  A chunk is popcounted only
+    when its XOR with M has a nonzero word.
     """
     if M.m != W.m:
         raise ParameterError(f"M is {M.m}x{M.m} but W has {W.m} rows")
     total = 0
-    for lo, hi, rows in _gram_rows(W):
-        rows ^= M.bits[lo:hi]
+    if not _uses_table(W.m, W.r, W.k):
+        for lo, hi, rows in _gram_rows(W):
+            rows ^= M._words(slice(lo, hi))
+            if np.count_nonzero(rows):
+                total += int(np.bitwise_count(rows).sum())
+        return total
+    table, rank = _gram_table(W)
+    slots = np.arange(M.m) if M.index is None else M.index
+    pairs, counts = np.unique(slots * len(table) + rank, return_counts=True)
+    stored, ranks = np.divmod(pairs, len(table))
+    # Chunks of 4 rows' words: 1 to 8 rows' words took the same time on the
+    # README instance's pairs, and 64 rows' words 1.6 times as long.
+    for lo, hi in _row_chunks(len(pairs), 4 * n_words(M.m)):
+        rows = table[ranks[lo:hi]]
+        rows ^= M.rows[stored[lo:hi]]
         if np.count_nonzero(rows):
-            total += int(np.bitwise_count(rows).sum())
+            total += int(np.bitwise_count(rows).sum(axis=1, dtype=np.int64) @ counts[lo:hi])
     return total
 
 

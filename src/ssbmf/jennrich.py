@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (DegeneracyError, ExtensionError, ParameterError,
                      RankDeficiencyError, RoundingError, SsbmfError)
 from .instance import (_WORD, GramMatrix, SelectionMatrix, _check_anchors, _check_shape,
-                       _is_int, _pack, _rng, _row_chunks, _unpack, factorization_error)
+                       _is_int, _pack, _rng, _row_chunks, _unpack, factorization_error,
+                       n_words)
 from .mu import mu_table, union_block
 from .tensor import IntersectionTensor, build_tensor, contract
 
@@ -115,7 +116,7 @@ def round_boolean(v) -> np.ndarray:
     return (scaled > 0.5).astype(np.int8)
 
 
-def _decode_passes(candidates: np.ndarray, undecided: np.ndarray, bits: np.ndarray, k: int):
+def _decode_passes(candidates: np.ndarray, undecided: np.ndarray, M: GramMatrix, k: int):
     """Iterate the decode with every decoded row as a test, in place on the
     (m, r) candidate flags: returns (rows still undecided, passes run).
 
@@ -131,9 +132,10 @@ def _decode_passes(candidates: np.ndarray, undecided: np.ndarray, bits: np.ndarr
     if not len(undecided):
         return undecided, passes
     m, r = candidates.shape
+    words = n_words(m)
     decoded = np.ones(m, dtype=bool)
     decoded[undecided] = False
-    packed = np.zeros((r, 8 * bits.shape[1]), dtype=np.uint8)
+    packed = np.zeros((r, 8 * words), dtype=np.uint8)
     packed[:, : (m + 7) // 8] = np.packbits(candidates, axis=0, bitorder="little").T
     holders = packed.view(_WORD) & _pack(decoded[None])
     while len(undecided):
@@ -141,8 +143,8 @@ def _decode_passes(candidates: np.ndarray, undecided: np.ndarray, bits: np.ndarr
         rows, cols = np.nonzero(candidates[undecided])
         rows = undecided[rows]
         drop = np.empty(len(rows), dtype=bool)
-        for lo, hi in _row_chunks(len(rows), bits.shape[1]):
-            missed = np.invert(bits[rows[lo:hi]])
+        for lo, hi in _row_chunks(len(rows), words):
+            missed = np.invert(M._words(rows[lo:hi]))
             missed &= holders[cols[lo:hi]]
             drop[lo:hi] = missed.any(axis=1)
         candidates[rows[drop], cols[drop]] = False
@@ -194,26 +196,28 @@ def extend_from_anchors(anchor_block: np.ndarray, anchor_indices,
         raise ExtensionError(f"anchor row {a} is not {k}-sparse")
     # Bit a of anchor row b is M[b, a]: the AND of the anchor rows holding j
     # (at least one, by the rank check) marks the rows with candidate j.
-    rounded = _unpack(np.stack([np.bitwise_and.reduce(M.bits[anchor_indices[held[:, j]]])
+    anchor_rows = M._words(anchor_indices)
+    rounded = _unpack(np.stack([np.bitwise_and.reduce(anchor_rows[held[:, j]])
                                 for j in range(r)]), M.m).T == 1
     rounded[anchor_indices] = held
     rest = np.flatnonzero(np.count_nonzero(rounded, axis=1) != k)  # increasing
     fallback_rows = len(rest)
-    rest, passes = _decode_passes(rounded, rest, M.bits, k)
+    rest, passes = _decode_passes(rounded, rest, M, k)
     if diagnostics is not None:
         diagnostics.update(fallback_rows=fallback_rows, decode_passes=passes,
                            undecided_rows=len(rest))
     counts = 2 * k - union_block(M, mu_table(r, k), rest, anchor_indices)
-    extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
-    sums = extended.sum(axis=1)
-    bad = (sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if sums[i] != k:
-            raise ExtensionError(
-                f"row {rest[i]} rounded to sparsity {int(sums[i])}, expected {k}")
-        raise ExtensionError(f"row {rest[i]} fails the intersection re-check")
-    rounded[rest] = extended
+    if len(rest):  # most calls decode every row, and the pseudo-inverse is then unused
+        extended = (counts @ np.linalg.pinv(anchor_block).T > 0.5).astype(np.int64)
+        sums = extended.sum(axis=1)
+        bad = (sums != k) | np.any(extended @ anchor_block.T != counts, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if sums[i] != k:
+                raise ExtensionError(
+                    f"row {rest[i]} rounded to sparsity {int(sums[i])}, expected {k}")
+            raise ExtensionError(f"row {rest[i]} fails the intersection re-check")
+        rounded[rest] = extended
     return SelectionMatrix(m=M.m, r=r, k=k, rows=(np.flatnonzero(rounded) % r).reshape(M.m, k))
 
 

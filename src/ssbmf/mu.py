@@ -79,7 +79,7 @@ def zero_counts(bits: np.ndarray, m: int, rows_a, rows_b=None,
     (default: all), chunked over rows_a: ``_zero_count`` of each pair's OR,
     word w weighing weights[w] (default 1)."""
     weights = np.ones(bits.shape[1], np.float32) if weights is None else weights.astype(np.float32)
-    B = bits if rows_b is None else bits[list(rows_b)]
+    B = bits if rows_b is None else bits[np.asarray(rows_b, dtype=np.intp)]
     rows_a = np.asarray(rows_a, dtype=np.intp)
     out = np.empty((len(rows_a), len(B)), dtype=np.int64)
     for lo, hi in _row_chunks(len(rows_a), B.size):
@@ -103,7 +103,9 @@ def invert_counts(counts, m: int, table: MuTable) -> np.ndarray:
 
 def union_block(M: GramMatrix, table: MuTable, rows_a, rows_b=None) -> np.ndarray:
     """Union sizes for the row block rows_a x rows_b (default: all rows)."""
-    return invert_counts(zero_counts(M.bits, M.m, rows_a, rows_b), M.m, table)
+    rows_b = np.arange(M.m) if rows_b is None else rows_b
+    slots = [M._slots(np.asarray(rows, dtype=np.intp)) for rows in (rows_a, rows_b)]
+    return invert_counts(zero_counts(M.rows, M.m, *slots), M.m, table)
 
 
 def required_sample_size(r: int, k: int, t: int, delta: float) -> int:

@@ -142,14 +142,16 @@ def build_tensor(M: GramMatrix, r: int, k: int, mode: str = "anchored",
     size_of = invert_counts(np.arange(m + 1), m, mu_table(r, k))
     if mode == "lazy":
         sizes = size_of.tolist()  # a list reads one entry faster than the array
-        bits = M.bits
+        rows = M.rows
+        slot = range(m) if M.index is None else M.index.tolist()  # row a is rows[slot[a]]
 
         def entry_fn(a, b, c):
+            sa, sb = slot[a], slot[b]
             # T_abc <= |S_a cap S_b|, ...: 0 unless M says all three pairs meet.
-            if not (_bit(bits, a, b) and _bit(bits, a, c) and _bit(bits, b, c)):
+            if not (_bit(rows, sa, b) and _bit(rows, sa, c) and _bit(rows, sb, c)):
                 return 0
-            A, B, C = bits[a], bits[b], bits[c]
-            unions = np.empty((4, bits.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
+            A, B, C = rows[sa], rows[sb], rows[slot[c]]
+            unions = np.empty((4, rows.shape[1]), dtype=_WORD)  # A|B|C, A|B, A|C, B|C
             np.bitwise_or(np.bitwise_or(A, B, out=unions[1]), C, out=unions[0])
             np.bitwise_or(A, C, out=unions[2])
             np.bitwise_or(B, C, out=unions[3])

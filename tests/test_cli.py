@@ -139,7 +139,7 @@ def test_gram_integer_feeds_csp_int_mode(tmp_path, capsys):
         g.write_text(json.dumps({**obj, "counts": counts}))
         assert main(csp) == 2, counts
         with pytest.raises(ParameterError):  # built directly, not only read from a file
-            GramMatrix(m=4, bits=bits, counts=counts)
+            GramMatrix(m=4, rows=bits, counts=counts)
     g.write_text(json.dumps({**obj, "counts": None}))  # null is not an absent counts
     assert main(csp) == 2
 

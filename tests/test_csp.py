@@ -331,4 +331,4 @@ def test_reduce_rejects_bad_entries():
     M = gram(gen_selection_matrix(4, 4, 2, seed=2), "integer")
     for counts in (M.counts + 0.4, M.counts.astype(float), M.counts > 0):
         with pytest.raises(ParameterError, match="^counts "):
-            GramMatrix(m=M.m, bits=M.bits, counts=counts)
+            GramMatrix(m=M.m, rows=M.bits, counts=counts)

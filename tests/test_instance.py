@@ -280,7 +280,7 @@ def test_gram_entry_rejects_an_index_that_is_not_an_integer(index):
 def test_gram_matrix_needs_a_row():
     # m = 0 with its (0, 0) words would pass the shape check alone.
     with pytest.raises(ParameterError, match=r"got m=0 and shape \(0, 0\)$"):
-        GramMatrix(m=0, bits=np.zeros((0, 0), dtype="<u8"))
+        GramMatrix(m=0, rows=np.zeros((0, 0), dtype="<u8"))
 
 
 def test_gram_integer_example():
@@ -360,7 +360,7 @@ def test_gram_hex_roundtrip():
 
 
 def _least_table_m(r, k):
-    """The least m at which _gram_rows gathers from its table of distinct supports."""
+    """The least m at which gram stores its table of distinct supports."""
     m = max(1024, -(-16 * math.comb(r, k) // (k - 1)))
     assert _uses_table(m, r, k) and not _uses_table(m - 1, r, k)
     return m
@@ -400,7 +400,7 @@ def test_gram_roundtrip_property(seed, shape, missing, flips):
     for a, b in flips:
         a, b = a % m, b % m
         bits[a, b // 64] ^= np.uint64(1 << (b % 64))
-    bad = GramMatrix(m=m, bits=bits)
+    bad = GramMatrix(m=m, rows=bits)
     assert factorization_error(bad, W) == int((bad.dense() != want).sum())
     assert np.array_equal(GramMatrix.from_json(M.to_json()).bits, M.bits)
     assert SelectionMatrix.from_json(W.to_json()).rows == W.rows
@@ -410,7 +410,8 @@ def test_gram_roundtrip_property(seed, shape, missing, flips):
 def test_gram_rows_cross_chunk_boundaries(m, k):
     # Sizes where the Gram-row kernel runs at least three chunks, so the chunk
     # loop and factorization_error's skip of an all-zero chunk are both reached:
-    # k = 2 on the table kernel, k = 1 and k = 3 on the per-position one.
+    # k = 1 and k = 3 on the per-position kernel; at k = 2 the verify compares
+    # the rows of a directly built M with the table, at least as many chunks.
     assert _uses_table(m, 16, k) == (k == 2)
     W = gen_selection_matrix(m, 16, k, seed=m)
     chunks = [(lo, hi) for lo, hi, _ in _gram_rows(W)]
@@ -425,7 +426,7 @@ def test_gram_rows_cross_chunk_boundaries(m, k):
         bits = M.bits.copy()
         for a, b in entries:
             bits[a, b // 64] ^= np.uint64(1 << (b % 64))
-        return GramMatrix(m=M.m, bits=bits)
+        return GramMatrix(m=M.m, rows=bits)
 
     want = dense_gram(W)
     M = gram(W)
@@ -445,6 +446,36 @@ def test_gram_rows_cross_chunk_boundaries(m, k):
     assert np.array_equal(gram(W2).dense(), want2)
     errors = int((want != want2).sum())
     assert errors > 0 and factorization_error(M, W2) == errors
+
+
+@pytest.mark.parametrize("replaced", [0, 1, 3])
+@pytest.mark.parametrize("source", ["gram", "json", "direct", "direct, one side flipped"])
+@pytest.mark.parametrize("m, r, k", [(1056, 12, 2), (300, 8, 2)])
+def test_factorization_error_is_the_dense_l0(m, r, k, source, replaced):
+    # The table path (1056 = 16 C(12, 2)) and the per-position one, against M
+    # as gram stores it, read back from JSON (rows repeat on both paths), and
+    # built directly with index=None; W is the truth or has rows replaced.
+    W = gen_selection_matrix(m, r, k, seed=m)
+    M = gram(W)
+    assert (M.index is not None) == _uses_table(m, r, k)
+    if M.index is not None:
+        assert len(M.rows) <= math.comb(r, k)
+    if source == "json":
+        M = GramMatrix.from_json(json.loads(json.dumps(M.to_json())))
+        assert M.index is not None and len(M.rows) <= math.comb(r, k)
+    elif source.startswith("direct"):
+        bits = M.bits.copy()
+        if source.endswith("flipped"):  # entry (3, 200) set, entry (200, 3) left as it is
+            bits[3, 200 // 64] ^= np.uint64(1 << 200 % 64)
+        M = GramMatrix(m=np.int64(m), rows=bits)  # a numpy m is an integer m
+        assert type(M.m) is int
+    support = W.support.copy()
+    for a in np.random.default_rng(replaced).choice(m, size=replaced, replace=False):
+        support[a] = (support[a] + 1) % r
+    W_hat = SelectionMatrix(m=m, r=r, k=k, rows=support)
+    want = np.count_nonzero(M.dense() != gram(W_hat).dense())
+    assert factorization_error(M, W_hat) == want
+    assert (want > 0) == (replaced > 0 or source.endswith("flipped"))
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 130])
@@ -475,7 +506,7 @@ def test_packed_kernels_match_brute_force(m):
     bits = M.bits.copy()
     for a in range(0, m, 3):
         bits[a, a // 64] ^= np.uint64(1 << (a % 64))
-    M_diag = GramMatrix(m=m, bits=bits)
+    M_diag = GramMatrix(m=m, rows=bits)
     W2 = gen_selection_matrix(m, r, k, seed=m + 1)
     diff = M_diag.dense() != brute_gram(W2.rows)
     assert factorization_error(M_diag, W2) == int(diff.sum())

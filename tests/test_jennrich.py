@@ -154,7 +154,7 @@ def test_extend_rejects_non_sparse_extended_row():
     # zero intersections with the anchors, and an all-zero rounded row
     bits = _meeting_every_row(M.bits, [200])
     with pytest.raises(ExtensionError, match="row 200 rounded to sparsity 0"):
-        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits), 2)
+        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, rows=bits), 2)
 
 
 @pytest.mark.parametrize("copy, named", [(300, 200), (100, 100)])
@@ -165,7 +165,7 @@ def test_extend_names_the_lowest_of_equal_failing_rows(copy, named):
     bits = _meeting_every_row(gram(W).bits, [200, copy])
     assert np.array_equal(bits[200], bits[copy])
     with pytest.raises(ExtensionError, match=f"row {named} rounded to sparsity 0"):
-        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, bits=bits), 2)
+        extend_from_anchors(W.dense()[:30], range(30), GramMatrix(m=400, rows=bits), 2)
 
 
 def _least_squares_rows(anchor_block, anchors, M, table, k):
@@ -259,7 +259,7 @@ def test_decode_candidates_match_dense_brute_force(m, n0, monkeypatch):
     bits = np.packbits(dense, axis=1, bitorder="little")
     words = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
     words[:, : bits.shape[1]] = bits
-    M = GramMatrix(m=m, bits=words.view("<u8"))
+    M = GramMatrix(m=m, rows=words.view("<u8"))
     anchors = sorted(rng.choice(m, size=n0, replace=False).tolist())
     block = W.dense()[anchors]
     assert np.linalg.matrix_rank(block) == r
@@ -292,7 +292,7 @@ def _packed_gram(dense) -> GramMatrix:
     bits = np.packbits(dense, axis=1, bitorder="little")
     words = np.zeros((m, (m + 63) // 64 * 8), dtype=np.uint8)
     words[:, : bits.shape[1]] = bits
-    return GramMatrix(m=m, bits=words.view("<u8"))
+    return GramMatrix(m=m, rows=words.view("<u8"))
 
 
 def _iterated_decode_reference(dense, anchors, block, k):

@@ -16,19 +16,23 @@ W = gen_selection_matrix(5, 4, 2, seed=0)
 def _asymmetric_counts():
     counts = np.zeros((W.m, W.m), dtype=np.int64)
     counts[0, 1] = 1
-    return GramMatrix(m=W.m, bits=gram(W).bits, counts=counts)
+    return GramMatrix(m=W.m, rows=gram(W).bits, counts=counts)
 
 
 def _asymmetric_bits():
     bits = gram(W).bits.copy()
     bits[2, 0] |= 1  # sets entry (2, 0), which was 0; entry (0, 2) stays 0
-    return GramMatrix(m=W.m, bits=bits)
+    return GramMatrix(m=W.m, rows=bits)
+
+
+def _padding_bit_rows():
+    bits = gram(W).bits.copy()
+    bits[0, 0] |= 1 << W.m  # entry (0, 5) of a 5 x 5 matrix, the first padding bit
+    return bits
 
 
 def _padding_bit():
-    bits = gram(W).bits.copy()
-    bits[0, 0] |= 1 << W.m  # entry (0, 5) of a 5 x 5 matrix, the first padding bit
-    return GramMatrix(m=W.m, bits=bits)
+    return GramMatrix(m=W.m, rows=_padding_bit_rows())
 
 
 CASES = {
@@ -42,7 +46,38 @@ CASES = {
     "asymmetric Boolean entries": (lambda: reduce_symmetric(_asymmetric_bits(), 4, 2, "boolean"),
                                    "symmetric reduction requires a symmetric matrix"),
     "unknown arithmetic": (lambda: gram(W, "real"), "unknown arithmetic 'real'"),
-    "Boolean bit beyond m": (_padding_bit, "bits set a bit at a position >= m=5"),
+    "Boolean bit beyond m": (_padding_bit, "rows set a bit at a position >= m=5"),
+    "float m": (lambda: GramMatrix(m=2.0, rows=np.zeros((2, 1), "<u8")),
+                "need an integer m >= 1, got m=2.0 and shape (2, 1)"),
+    "numpy float m": (lambda: GramMatrix(m=np.float64(3), rows=np.zeros((3, 1), "<u8")),
+                      "need an integer m >= 1, got m=np.float64(3.0) and shape (3, 1)"),
+    "bool m": (lambda: GramMatrix(m=True, rows=np.ones((1, 1), "<u8")),
+               "need an integer m >= 1, got m=True and shape (1, 1)"),
+    "rows of too few words": (lambda: GramMatrix(m=65, rows=np.zeros((65, 1), "<u8")),
+                              "need rows of shape (m, ceil(m/64)), got m=65 and shape (65, 1)"),
+    "rows short of m": (lambda: GramMatrix(m=5, rows=gram(W).bits[:4]),
+                        "need rows of shape (m, ceil(m/64)), got m=5 and shape (4, 1)"),
+    "rows of one dimension": (lambda: GramMatrix(m=1, rows=np.ones(1, "<u8")),
+                              "need rows of shape (m, ceil(m/64)), got m=1 and shape (1,)"),
+    "rows as a list": (lambda: GramMatrix(m=1, rows=[[1]]),
+                       "need rows of shape (m, ceil(m/64)), got m=1 and shape (1, 1)"),
+    "no stored row": (lambda: GramMatrix(m=2, rows=np.zeros((0, 1), "<u8"), index=[0, 0]),
+                      "need rows of shape (n >= 1, ceil(m/64)), got m=2 and shape (0, 1)"),
+    "rows of signed words": (lambda: GramMatrix(m=5, rows=gram(W).bits.astype(np.int64)),
+                             "rows must hold little-endian uint64 words, got dtype int64"),
+    "index past the stored rows": (
+        lambda: GramMatrix(m=5, rows=gram(W).bits[:2], index=[0, 1, 2, 0, 1]),
+        "index must hold m=5 row positions in [0, 2), got shape (5,)"),
+    "negative index": (lambda: GramMatrix(m=5, rows=gram(W).bits, index=[0, 1, 2, 3, -1]),
+                       "index must hold m=5 row positions in [0, 5), got shape (5,)"),
+    "index shorter than m": (lambda: GramMatrix(m=5, rows=gram(W).bits, index=[0, 1, 2, 3]),
+                             "index must hold m=5 row positions in [0, 5), got shape (4,)"),
+    "index of two dimensions": (
+        lambda: GramMatrix(m=4, rows=gram(_W4).bits, index=[[0, 1], [2, 3]]),
+        "index must hold m=4 row positions in [0, 4), got shape (2, 2)"),
+    "padding bit of an indexed row": (
+        lambda: GramMatrix(m=5, rows=_padding_bit_rows(), index=[1, 1, 2, 3, 4]),
+        "rows set a bit at a position >= m=5"),
     "r beyond the tensor": (
         lambda: jennrich_decompose(oracle_tensor(gen_selection_matrix(4, 6, 2, seed=0),
                                                  materialize=True), 6),
@@ -74,8 +109,9 @@ def test_public_calls_raise_parameter_error_with_their_message(case):
 _W4 = gen_selection_matrix(4, 4, 2, seed=0)
 INTEGER_INPUTS = {
     "rows": (lambda v: SelectionMatrix(m=2, r=4, k=2, rows=v), [[0, 1], [2, 3]]),
-    "counts": (lambda v: GramMatrix(m=4, bits=gram(_W4).bits, counts=v),
+    "counts": (lambda v: GramMatrix(m=4, rows=gram(_W4).bits, counts=v),
                gram(_W4, "integer").counts.tolist()),
+    "index": (lambda v: GramMatrix(m=4, rows=gram(_W4).bits, index=v), [0, 1, 2, 3]),
     "entries of M": (lambda v: reduce_asymmetric(v, 4, 2), [[1, 0], [0, 1]]),
     "assignment ranks": (lambda v: evaluate(reduce_symmetric(gram(_W4, "integer"), 4, 2), v),
                          [0, 1, 2, 3]),
